@@ -393,10 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="scan, locate, and inject a corpus")
     p_pipe.add_argument("corpus", help="directory of apps")
-    p_pipe.add_argument("--workdir", help="where extracted trees go")
+    p_pipe.add_argument("--workdir",
+                        help="where the trees of injected apps are written")
     _add_perturbation_args(p_pipe)
     p_pipe.add_argument("--slice-depth", type=int, dest="slice_depth")
-    p_pipe.add_argument("--workers", type=int, dest="workers")
+    p_pipe.add_argument("--workers", type=int, dest="workers",
+                        help="accepted for old scripts; has no effect, "
+                             "apps run one after another")
     p_pipe.add_argument("--config", metavar="FILE")
     p_pipe.add_argument("--report", metavar="FILE")
     p_pipe.set_defaults(func=cmd_pipeline)

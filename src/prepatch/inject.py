@@ -3,26 +3,35 @@
 Planning turns constructor matches plus a perturbation spec into a list of
 line-span patches: each patch names the file, the lines it replaces, and
 their replacement, so a plan can be inspected, diffed, and checked against
-the tree before anything is written. Application is all-or-nothing: edits
-land in a copy of the tree which then replaces the original, and a marker
-field left in every touched class makes a second injection fail fast.
+the tree before anything is written. Application writes only the touched
+files and is all-or-nothing: each edited file is staged in a sibling temp
+file, a journal beside the tree lists the staged files, and only then does
+each temp file replace its target. An apply that stopped part way is rolled
+forward (journal present) or back (temp files only) by the next plan or
+apply of that tree. A marker field left in every touched class makes a
+second injection fail fast.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
+import os
 import shlex
-import shutil
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import locate, smali
 from .locate import ConstructorMatch
 from .perturbation import PerturbationSpec
 
 MARKER_FIELD = ".field private static __preproc_patch_marker__:Z"
+LOCK_SUFFIX = ".lock"
+JOURNAL_SUFFIX = ".inject-journal"
+TEMP_SUFFIX = ".inject-tmp"
 
 
 class InjectError(Exception):
@@ -120,7 +129,7 @@ def has_marker(text: str) -> bool:
 # planning
 
 
-def _patch_const_line(lines: List[str], rel: str, line_index: int,
+def _patch_const_line(lines: Sequence[str], rel: str, line_index: int,
                       register: smali.Register, new_value: int,
                       radix: str, description: str) -> Patch:
     original = lines[line_index]
@@ -129,10 +138,13 @@ def _patch_const_line(lines: List[str], rel: str, line_index: int,
     return Patch(rel, line_index, (original,), (replacement,), description)
 
 
-def _plan_match(root: Path, match: ConstructorMatch, spec: PerturbationSpec,
-                plan: InjectionPlan) -> None:
+def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
+                spec: PerturbationSpec, plan: InjectionPlan) -> None:
     rel = match.unit_path
-    lines = _read_lines(root, rel)
+    unit = index.by_path.get(rel)
+    if unit is None:
+        raise StalePlanError(f"{rel}: matched unit is not in the tree")
+    lines = unit.lines
 
     if spec.rotation_override is not None or spec.rotation_delta is not None:
         for site in match.rotation_sites:
@@ -181,7 +193,6 @@ def _plan_match(root: Path, match: ConstructorMatch, spec: PerturbationSpec,
     if spec.format_override is not None and match.format_site is not None:
         site = match.format_site
         if site.const_line is not None:
-            unit = smali.parse_unit("\n".join(lines))
             method = next(m for m in unit.methods
                           if m.signature == match.method_signature)
             const = next(i for i in method.instructions
@@ -193,28 +204,40 @@ def _plan_match(root: Path, match: ConstructorMatch, spec: PerturbationSpec,
                 f"({site.field_name})"))
 
 
+def _marked_file(index: locate.ClassIndex) -> Optional[str]:
+    """First smali file, parsed or not, that carries the marker."""
+    marked = [rel for rel, unit in index.by_path.items()
+              if has_marker("\n".join(unit.lines))]
+    marked += [rel for rel, text in index.unparsed.items() if has_marker(text)]
+    return min(marked, key=locate.tree_order, default=None)
+
+
 def plan_injection(root: Path, spec: PerturbationSpec,
-                   matches: Optional[Sequence[ConstructorMatch]] = None
-                   ) -> InjectionPlan:
+                   matches: Optional[Sequence[ConstructorMatch]] = None,
+                   index: Optional[locate.ClassIndex] = None) -> InjectionPlan:
     """Build a patch plan for one tree. Raises AlreadyInjectedError if any
     smali file carries the marker from a previous run; a patched wrapper no
-    longer matches its strategy, so the marker is the only reliable guard."""
+    longer matches its strategy, so the marker is the only reliable guard.
+
+    ``index`` is the tree's class index when the caller already has one;
+    without it the tree is indexed once here. Lines come from the index, so
+    planning reads nothing else."""
     if spec.is_noop:
         raise ValueError("perturbation spec is a no-op; nothing to plan")
-    for file in sorted(root.rglob("*.smali")):
-        if has_marker(file.read_text(encoding="utf-8")):
-            raise AlreadyInjectedError(
-                f"{file.relative_to(root).as_posix()} already carries "
-                f"{MARKER_FIELD!r}")
-    if matches is None:
+    recover(root)
+    if index is None:
         index = locate.ClassIndex.from_tree(root)
+    marked = _marked_file(index)
+    if marked is not None:
+        raise AlreadyInjectedError(f"{marked} already carries {MARKER_FIELD!r}")
+    if matches is None:
         matches = []
         for rel in sorted(index.by_path):
             matches.extend(locate.match_constructors(index.by_path[rel], rel))
 
     plan = InjectionPlan(root=root.name, spec=spec, matches=list(matches))
     for match in matches:
-        _plan_match(root, match, spec, plan)
+        _plan_match(index, match, spec, plan)
 
     # Apply patches bottom-up within each file so indexes stay valid.
     plan.patches.sort(key=lambda p: (p.unit_path, -p.line_index))
@@ -237,7 +260,7 @@ def _marker_patch(lines: List[str], rel: str) -> Patch:
     return Patch(rel, anchor + 1, (), ("", MARKER_FIELD), "injection marker")
 
 
-def _verify_and_edit(lines: List[str], patches: Sequence[Patch]) -> List[str]:
+def _verify_and_edit(lines: Sequence[str], patches: Sequence[Patch]) -> List[str]:
     out = list(lines)
     for patch in patches:  # already sorted bottom-up
         start = patch.line_index
@@ -250,16 +273,15 @@ def _verify_and_edit(lines: List[str], patches: Sequence[Patch]) -> List[str]:
     return out
 
 
-def render_diff(root: Path, plan: InjectionPlan) -> str:
-    """Unified diff of the plan against the current tree, without writing."""
-    chunks = []
-    for rel, patches in _by_file(plan).items():
-        old = _read_lines(root, rel)
-        new = _verify_and_edit(old, patches)
-        new = _verify_and_edit(new, [_marker_patch(new, rel)])
-        chunks.append("\n".join(difflib.unified_diff(
-            old, new, fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm="")))
-    return "\n".join(chunk for chunk in chunks if chunk)
+def _patched(lines: Sequence[str], rel: str, patches: Sequence[Patch]) -> List[str]:
+    """The file after its patches and the marker field."""
+    out = _verify_and_edit(lines, patches)
+    return _verify_and_edit(out, [_marker_patch(out, rel)])
+
+
+def _diff(rel: str, old: Sequence[str], new: Sequence[str]) -> str:
+    return "\n".join(difflib.unified_diff(
+        old, new, fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm=""))
 
 
 def _by_file(plan: InjectionPlan) -> Dict[str, List[Patch]]:
@@ -269,47 +291,125 @@ def _by_file(plan: InjectionPlan) -> Dict[str, List[Patch]]:
     return grouped
 
 
-def apply_plan(root: Path, plan: InjectionPlan) -> InjectionResult:
-    """Apply a plan to the tree, swapping in an edited copy on success."""
-    if not plan.patches:
-        return InjectionResult(root=root.name, applied=0, files_changed=[],
-                               diff="")
-    for rel in plan.touched_files:
-        if has_marker((root / rel).read_text(encoding="utf-8")):
-            raise AlreadyInjectedError(f"{rel} already carries the marker")
+def _read_touched(root: Path, plan: InjectionPlan) -> Dict[str, List[str]]:
+    return {rel: _read_lines(root, rel) for rel in _by_file(plan)}
 
-    lock = root.parent / (root.name + ".lock")
+
+def _edit(current: Dict[str, List[str]], plan: InjectionPlan
+          ) -> Tuple[Dict[str, List[str]], str]:
+    """Patched lines of every touched file, and the unified diff."""
+    edited, chunks = {}, []
+    for rel, patches in _by_file(plan).items():
+        edited[rel] = _patched(current[rel], rel, patches)
+        chunks.append(_diff(rel, current[rel], edited[rel]))
+    return edited, "\n".join(chunk for chunk in chunks if chunk)
+
+
+def render_diff(root: Path, plan: InjectionPlan) -> str:
+    """Unified diff of the plan against the current tree, without writing."""
+    return _edit(_read_touched(root, plan), plan)[1]
+
+
+# ---------------------------------------------------------------------------
+# lock, journal and recovery
+
+
+def _beside(root: Path, suffix: str) -> Path:
+    return root.parent / (root.name + suffix)
+
+
+def _temp_path(path: Path) -> Path:
+    return path.with_name(path.name + TEMP_SUFFIX)
+
+
+def _temp_files(root: Path) -> List[Path]:
+    return [Path(folder) / name
+            for folder, _, names in os.walk(root)
+            for name in names if name.endswith(TEMP_SUFFIX)]
+
+
+@contextmanager
+def _locked(root: Path) -> Iterator[None]:
+    lock = _beside(root, LOCK_SUFFIX)
     try:
         lock_fd = lock.open("x")
     except FileExistsError:
         raise LockHeldError(f"lock file {lock} exists; concurrent injection?")
-    staging = root.parent / (root.name + ".injecting")
-    backup = root.parent / (root.name + ".pre-inject")
     try:
-        diff = render_diff(root, plan)  # verifies spans before any copying
-        if staging.exists():
-            shutil.rmtree(staging)
-        shutil.copytree(root, staging)
-        for rel, patches in _by_file(plan).items():
-            lines = _verify_and_edit(_read_lines(staging, rel), patches)
-            lines = _verify_and_edit(lines, [_marker_patch(lines, rel)])
-            (staging / rel).write_text("\n".join(lines), encoding="utf-8")
-        if backup.exists():
-            shutil.rmtree(backup)
-        root.rename(backup)
-        try:
-            staging.rename(root)
-        except OSError:
-            backup.rename(root)
-            raise
-        shutil.rmtree(backup)
-    except Exception:
-        if staging.exists():
-            shutil.rmtree(staging, ignore_errors=True)
-        raise
+        yield
     finally:
         lock_fd.close()
         lock.unlink(missing_ok=True)
+
+
+def _write_journal(root: Path, staged: Sequence[str]) -> None:
+    _beside(root, JOURNAL_SUFFIX).write_text(json.dumps(list(staged)) + "\n",
+                                             encoding="utf-8")
+
+
+def _recover(root: Path) -> None:
+    journal = _beside(root, JOURNAL_SUFFIX)
+    if journal.exists():
+        try:
+            staged = json.loads(journal.read_text(encoding="utf-8"))
+        except ValueError:
+            # Torn journal: it is written in full before any replace, so
+            # nothing was replaced yet and the temp files are rolled back.
+            staged = []
+        for rel in staged:
+            temp = _temp_path(root / rel)
+            if temp.exists():
+                os.replace(temp, root / rel)
+        journal.unlink()
+    for temp in _temp_files(root):
+        temp.unlink()
+
+
+def recover(root: Path) -> None:
+    """Finish or undo an apply of ``root`` that stopped part way.
+
+    A journal beside the tree means every edited file was staged before the
+    first replace: the replaces are finished (roll forward). Temp files
+    without a journal belong to an apply that never committed: they are
+    deleted (roll back). Takes the tree lock only when there is work."""
+    if _beside(root, JOURNAL_SUFFIX).exists() or _temp_files(root):
+        with _locked(root):
+            _recover(root)
+
+
+def _commit(root: Path, edited: Dict[str, List[str]]) -> None:
+    """Stage every edited file, journal them, then replace the targets."""
+    journal = _beside(root, JOURNAL_SUFFIX)
+    staged: List[Path] = []
+    try:
+        for rel, lines in edited.items():
+            temp = _temp_path(root / rel)
+            staged.append(temp)
+            temp.write_text("\n".join(lines), encoding="utf-8")
+        _write_journal(root, sorted(edited))
+    except Exception:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+        journal.unlink(missing_ok=True)
+        raise
+    for rel in sorted(edited):
+        os.replace(_temp_path(root / rel), root / rel)
+    journal.unlink()
+
+
+def apply_plan(root: Path, plan: InjectionPlan) -> InjectionResult:
+    """Apply a plan to the tree, rewriting only the touched files."""
+    if not plan.patches:
+        return InjectionResult(root=root.name, applied=0, files_changed=[],
+                               diff="")
+    with _locked(root):
+        _recover(root)
+        current = _read_touched(root, plan)
+        for rel, lines in current.items():
+            if has_marker("\n".join(lines)):
+                raise AlreadyInjectedError(f"{rel} already carries the marker")
+        edited, diff = _edit(current, plan)
+        _commit(root, edited)
 
     return InjectionResult(root=root.name, applied=len(plan.patches),
                            files_changed=plan.touched_files, diff=diff)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import smali
 from .smali import Instruction, MethodRef, OpKind, Register, SmaliMethod, SmaliUnit
@@ -218,6 +218,20 @@ class ConstructorMatch:
 # class index
 
 
+def _decode_text(data: bytes) -> str:
+    """Decode a file as ``Path.read_text(encoding="utf-8")`` does: strict
+    UTF-8 with universal newlines, so line indexes match a disk read."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def tree_order(rel_path: str) -> List[str]:
+    """Sort key that orders relative paths as sorted ``Path`` objects do."""
+    return rel_path.split("/")
+
+
 class ClassIndex:
     """Descriptor -> parsed unit lookup over one app tree."""
 
@@ -225,6 +239,8 @@ class ClassIndex:
         self.by_class: Dict[str, Tuple[str, SmaliUnit]] = {}
         self.by_path: Dict[str, SmaliUnit] = {}
         self.issues: List[Tuple[str, str]] = []
+        # Text of smali files that decoded but did not parse.
+        self.unparsed: Dict[str, str] = {}
 
     def add(self, rel_path: str, unit: SmaliUnit) -> None:
         self.by_path[rel_path] = unit
@@ -235,30 +251,31 @@ class ClassIndex:
 
     @classmethod
     def from_tree(cls, root: Path) -> "ClassIndex":
-        index = cls()
-        for file in sorted(root.rglob("*.smali")):
-            rel = file.relative_to(root).as_posix()
-            try:
-                text = file.read_text(encoding="utf-8")
-                unit = smali.parse_unit(text)
-            except (smali.SmaliSyntaxError, UnicodeDecodeError) as exc:
-                index.issues.append((rel, str(exc)))
-                continue
-            index.add(rel, unit)
-        return index
+        return cls.from_files({file.relative_to(root).as_posix(): file.read_bytes()
+                               for file in root.rglob("*.smali")})
 
     @classmethod
-    def from_files(cls, files: Dict[str, object]) -> "ClassIndex":
-        """Index an in-memory path->text mapping (non-smali entries skipped)."""
+    def from_files(cls, files: Dict[str, Union[str, bytes]]) -> "ClassIndex":
+        """Index a path -> text mapping; non-smali entries are skipped.
+
+        Bytes are decoded with ``_decode_text``; a file that does not decode
+        or parse is recorded in ``issues``. On a duplicate class descriptor
+        the first file in tree order wins.
+        """
         index = cls()
-        for rel in sorted(files):
-            text = files[rel]
-            if not rel.endswith(".smali") or not isinstance(text, str):
+        for rel in sorted(files, key=tree_order):
+            if not rel.endswith(".smali"):
                 continue
+            text = files[rel]
             try:
+                if isinstance(text, bytes):
+                    text = _decode_text(text)
                 index.add(rel, smali.parse_unit(text))
+            except UnicodeDecodeError as exc:
+                index.issues.append((rel, str(exc)))
             except smali.SmaliSyntaxError as exc:
                 index.issues.append((rel, str(exc)))
+                index.unparsed[rel] = text
         return index
 
 

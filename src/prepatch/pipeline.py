@@ -1,8 +1,11 @@
-"""End-to-end corpus processing: scan, extract, locate, inject, summarize.
+"""End-to-end corpus processing: load, scan, locate, inject, summarize.
 
-Apps are processed in a thread pool; each one is scanned, DL apps are
-extracted to a working directory, analyzed, and (when a perturbation spec
-is given) patched in place. The report carries only app names and
+Apps are processed one after another. Each one is read once into memory
+(every entry name, plus the bytes of its smali files and manifest), and
+the scan, the class index and constructor matching all run from that map.
+Only a DL app that a perturbation spec applies to and that has a match is
+written to the working directory, and then patched in place; a census run
+without a spec writes nothing. The report carries only app names and
 tree-relative paths, so a rerun over the same corpus produces identical
 bytes.
 """
@@ -13,10 +16,9 @@ import dataclasses
 import logging
 import shutil
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import inject, locate, scan
 from .perturbation import PerturbationSpec
@@ -88,81 +90,126 @@ class PipelineReport:
         }
 
 
-def _safe_extract(archive: Path, target: Path) -> None:
-    with zipfile.ZipFile(archive) as zf:
-        for info in zf.infolist():
-            name = info.filename
-            if name.startswith(("/", "\\")) or ".." in Path(name).parts:
-                raise scan.UnscannableApkError(archive, f"unsafe entry {name!r}")
-        zf.extractall(target)
+def tree_name(source: Path) -> str:
+    """Name of the work tree an app source materializes to."""
+    return source.stem if source.is_file() else source.name
 
 
-def materialize(source: Path, workdir: Path) -> Path:
-    """Extract an archive (or copy a tree) into the working directory."""
-    tree = workdir / (source.stem if source.is_file() else source.name)
+def materialize(source: Path, workdir: Path,
+                app: Optional[scan.AppFiles] = None) -> Path:
+    """Write an app as a tree in the working directory.
+
+    Read entries (smali and manifest) come from ``app``, loaded from
+    ``source`` when not given; every other entry is copied from the source.
+    """
+    if app is None:
+        app = scan.load_app(source)
+    if app.unsafe_entry is not None:
+        raise scan.UnscannableApkError(source, f"unsafe entry {app.unsafe_entry!r}")
+    tree = workdir / tree_name(source)
     if tree.exists():
         shutil.rmtree(tree)
-    if source.is_dir():
-        shutil.copytree(source, tree)
-    else:
-        tree.mkdir(parents=True)
-        try:
-            _safe_extract(source, tree)
-        except (zipfile.BadZipFile, OSError) as exc:
-            shutil.rmtree(tree, ignore_errors=True)
-            raise scan.UnscannableApkError(source, str(exc)) from exc
+    tree.mkdir(parents=True)
+    made = {tree}
+
+    def target(rel: str) -> Path:
+        path = tree / rel
+        if path.parent not in made:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made.add(path.parent)
+        return path
+
+    try:
+        if source.is_dir():
+            for rel in app.entries:
+                if rel in app.data:
+                    target(rel).write_bytes(app.data[rel])
+                else:
+                    shutil.copyfile(source / rel, target(rel))
+        else:
+            with zipfile.ZipFile(source) as zf:
+                for info in zf.infolist():
+                    if info.filename in app.data:
+                        target(info.filename).write_bytes(app.data[info.filename])
+                    else:
+                        zf.extract(info, tree)
+    except (zipfile.BadZipFile, OSError) as exc:
+        shutil.rmtree(tree, ignore_errors=True)
+        raise scan.UnscannableApkError(source, str(exc)) from exc
     return tree
 
 
 def process_app(source: Path, workdir: Path,
                 spec: Optional[PerturbationSpec] = None,
-                depth: int = 1) -> AppOutcome:
-    """Scan one app and, if it is a DL app, analyze and optionally inject."""
-    verdict = scan.scan_path(source)
+                depth: int = 1, taken_by: Optional[str] = None) -> AppOutcome:
+    """Scan one app and, if it is a DL app, analyze and optionally inject.
+
+    ``taken_by`` names another source that owns this app's work tree; such
+    an app is analyzed but never written.
+    """
+    try:
+        app = scan.load_app(source)
+        verdict = scan.classify(app)
+    except scan.UnscannableApkError as exc:
+        app, verdict = None, scan.unscannable(source, exc.reason)
     # Reports must not depend on how the corpus path was spelled.
     verdict = dataclasses.replace(verdict, path=source.name)
-    name = verdict.app
-    outcome = AppOutcome(app=name, source=source.name, verdict=verdict)
-    if verdict.error is not None or not verdict.is_dl:
+    outcome = AppOutcome(app=verdict.app, source=source.name, verdict=verdict)
+    if app is None or not verdict.is_dl:
+        return outcome
+    if app.unsafe_entry is not None:
+        outcome.error = f"unsafe entry {app.unsafe_entry!r}"
         return outcome
 
-    try:
-        tree = materialize(source, workdir)
-    except scan.UnscannableApkError as exc:
-        outcome.error = exc.reason
-        return outcome
-
-    analysis = locate.analyze_tree(tree, depth=depth)
+    index = locate.ClassIndex.from_files(app.data)
+    analysis = locate.analyze_index(index, app.name, depth=depth)
     outcome.anchors = len(analysis.anchors)
     outcome.creation_sites = sum(len(s.creation_sites) for s in analysis.slices)
     outcome.slice_gaps = sum(len(s.gaps) for s in analysis.slices)
     outcome.strategies = sorted({m.strategy for m in analysis.matches})
 
-    if spec is not None and analysis.matches:
-        try:
-            plan = inject.plan_injection(tree, spec, analysis.matches)
-            if plan.patches:
-                result = inject.apply_plan(tree, plan)
-                outcome.injected = True
-                outcome.patches = result.applied
-            outcome.warnings = plan.warnings
-        except inject.InjectError as exc:
-            outcome.error = str(exc)
+    if spec is None or not analysis.matches:
+        return outcome
+    if taken_by is not None:
+        outcome.error = (f"work tree {tree_name(source)!r} belongs to "
+                         f"{taken_by}; not injected")
+        return outcome
+    try:
+        tree = materialize(source, workdir, app)
+        plan = inject.plan_injection(tree, spec, analysis.matches, index=index)
+        if plan.patches:
+            result = inject.apply_plan(tree, plan)
+            outcome.injected = True
+            outcome.patches = result.applied
+        outcome.warnings = plan.warnings
+    except scan.UnscannableApkError as exc:
+        outcome.error = exc.reason
+    except inject.InjectError as exc:
+        outcome.error = str(exc)
     return outcome
 
 
 def run_pipeline(sources: Sequence[Path], workdir: Path,
                  spec: Optional[PerturbationSpec] = None,
                  depth: int = 1, workers: int = 4) -> PipelineReport:
+    """Process every app, one after another, in order of source name.
+
+    Work-tree names are handed out in that order, so when two sources map
+    to one name (``app.apk`` and ``app/``) the first keeps it. ``workers``
+    is accepted for old callers and configs and has no effect: the work is
+    bound by the GIL, and a thread or process pool ran slower than a loop.
+    """
     workdir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(sources, key=lambda p: p.name)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outcomes = list(pool.map(
-            lambda src: process_app(src, workdir, spec, depth), ordered))
-    for outcome in outcomes:
+    owners: Dict[str, Path] = {}
+    outcomes = []
+    for source in sorted(sources, key=lambda p: p.name):
+        owner = owners.setdefault(tree_name(source), source)
+        taken_by = None if owner is source else owner.name
+        outcome = process_app(source, workdir, spec, depth, taken_by=taken_by)
         log.debug("processed %s: dl=%s strategies=%s injected=%s",
                   outcome.app, outcome.verdict.is_dl, outcome.strategies,
                   outcome.injected)
+        outcomes.append(outcome)
     stats = scan.aggregate(o.verdict for o in outcomes)
     return PipelineReport(spec=spec, outcomes=outcomes, stats=stats)
 

@@ -1,15 +1,18 @@
 """Identify deep-learning apps in a corpus of disassembled or packed apps.
 
-Three signals mark an app as a DL app: bundled model files (recognized by
-suffix), TFLite or MLKit API references inside smali code, and MLKit
-component registrars declared in the manifest. The manifest additionally
-tells which vision services the app uses.
+``load_app`` reads an archive or tree once into an ``AppFiles`` map that
+every later stage works from. Three signals mark an app as a DL app:
+bundled model files (recognized by suffix), TFLite or MLKit API references
+inside smali code, and MLKit component registrars declared in the
+manifest. The manifest additionally tells which vision services the app
+uses.
 """
 
 from __future__ import annotations
 
 import re
 import zipfile
+import zlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
@@ -101,23 +104,75 @@ def extract_services(manifest_text: str) -> Tuple[bool, Tuple[str, ...]]:
     return True, tuple(sorted(found))
 
 
-def _verdict_from_entries(app: str, path: Path,
-                          entries: Iterable[Tuple[str, "callable"]]) -> DlVerdict:
-    """Shared scan core; ``entries`` yields (relative_name, loader())->bytes."""
+def _is_unsafe(name: str) -> bool:
+    """True if an archive entry would land outside its extraction directory."""
+    return name.startswith(("/", "\\")) or ".." in Path(name).parts
+
+
+def _is_read(name: str) -> bool:
+    """True for the entries any stage reads: smali files and the manifest."""
+    return name.endswith(".smali") or name == "AndroidManifest.xml"
+
+
+@dataclass(frozen=True)
+class AppFiles:
+    """One app read into memory, once, for every later stage.
+
+    ``entries`` names every file of the archive (in archive order) or tree
+    (sorted); ``data`` holds the raw bytes of the read entries only, so model
+    files and other assets stay on disk. ``unsafe_entry`` is the first
+    archive entry that would escape an extraction directory, if any.
+    """
+    name: str
+    source: Path
+    entries: Tuple[str, ...]
+    data: Dict[str, bytes]
+    unsafe_entry: Optional[str] = None
+
+
+def _load_archive(path: Path) -> AppFiles:
+    try:
+        with zipfile.ZipFile(path) as zf:
+            names = zf.namelist()
+            entries = tuple(name for name in names if not name.endswith("/"))
+            data = {name: zf.read(name) for name in entries if _is_read(name)}
+    except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error) as exc:
+        raise UnscannableApkError(path, str(exc)) from exc
+    unsafe = next((name for name in names if _is_unsafe(name)), None)
+    return AppFiles(path.stem, path, entries, data, unsafe)
+
+
+def _load_tree(root: Path) -> AppFiles:
+    entries, data = [], {}
+    for file in sorted(root.rglob("*")):
+        if not file.is_file():
+            continue
+        rel = file.relative_to(root).as_posix()
+        entries.append(rel)
+        if _is_read(rel):
+            data[rel] = file.read_bytes()
+    return AppFiles(root.name, root, tuple(entries), data)
+
+
+def load_app(path: Path) -> AppFiles:
+    """Read an app tree or archive. Raises UnscannableApkError on bad zips."""
+    return _load_tree(path) if path.is_dir() else _load_archive(path)
+
+
+def classify(app: AppFiles) -> DlVerdict:
+    """Scan verdict of a loaded app."""
     model_files: List[str] = []
     saw_tflite_api = False
     saw_mlkit_api = False
     manifest_text: Optional[str] = None
 
-    for name, load in entries:
-        if name.endswith("/"):
-            continue
+    for name in app.entries:
         if is_model_file(name):
             model_files.append(name)
         if name == "AndroidManifest.xml":
-            manifest_text = load().decode("utf-8", errors="replace")
+            manifest_text = app.data[name].decode("utf-8", errors="replace")
         elif name.endswith(".smali") and not (saw_tflite_api and saw_mlkit_api):
-            data = load()
+            data = app.data[name]
             if TFLITE_API_PREFIX in data:
                 saw_tflite_api = True
             if MLKIT_API_PREFIX in data:
@@ -139,8 +194,8 @@ def _verdict_from_entries(app: str, path: Path,
         evidence.append("mlkit_manifest")
 
     return DlVerdict(
-        app=app,
-        path=str(path),
+        app=app.name,
+        path=str(app.source),
         is_dl=bool(evidence),
         model_files=tuple(sorted(model_files)),
         evidence=tuple(evidence),
@@ -149,39 +204,30 @@ def _verdict_from_entries(app: str, path: Path,
     )
 
 
+def unscannable(path: Path, reason: str) -> DlVerdict:
+    """The verdict of an app that could not be read."""
+    return DlVerdict(app=path.stem if path.is_file() else path.name,
+                     path=str(path), is_dl=False, error=reason)
+
+
 def scan_apk(path: Path) -> DlVerdict:
     """Scan a packed app archive. Raises UnscannableApkError on bad zips."""
-    try:
-        with zipfile.ZipFile(path) as zf:
-            names = zf.namelist()
-            entries = [(name, (lambda n=name: zf.read(n))) for name in names]
-            return _verdict_from_entries(path.stem, path, entries)
-    except (zipfile.BadZipFile, OSError, EOFError, RuntimeError) as exc:
-        raise UnscannableApkError(path, str(exc)) from exc
+    return classify(_load_archive(path))
 
 
 def scan_tree(root: Path) -> DlVerdict:
     """Scan an extracted app directory."""
     if not root.is_dir():
         raise UnscannableApkError(root, "not a directory")
-    entries = []
-    for file in sorted(root.rglob("*")):
-        if not file.is_file():
-            continue
-        rel = file.relative_to(root).as_posix()
-        entries.append((rel, (lambda f=file: f.read_bytes())))
-    return _verdict_from_entries(root.name, root, entries)
+    return classify(_load_tree(root))
 
 
 def scan_path(path: Path) -> DlVerdict:
     """Scan one app, returning an errored verdict instead of raising."""
     try:
-        if path.is_dir():
-            return scan_tree(path)
-        return scan_apk(path)
+        return classify(load_app(path))
     except UnscannableApkError as exc:
-        return DlVerdict(app=path.stem if path.is_file() else path.name,
-                         path=str(path), is_dl=False, error=exc.reason)
+        return unscannable(path, exc.reason)
 
 
 def percent(numerator: int, denominator: int) -> float:

@@ -247,19 +247,6 @@ class SmaliMethod:
             slots += 2 if t in ("J", "D") else 1
         return slots
 
-    def param_slot_to_position(self, slot: int) -> Optional[int]:
-        """Map a p-register slot to a declared-parameter position (static only
-        counts declared params; slot 0 of an instance method is ``this``)."""
-        cursor = 0 if self.is_static else 1
-        if not self.is_static and slot == 0:
-            return None
-        for pos, t in enumerate(self.param_types):
-            width = 2 if t in ("J", "D") else 1
-            if cursor <= slot < cursor + width:
-                return pos
-            cursor += width
-        return None
-
 
 @dataclass(frozen=True)
 class SmaliUnit:
@@ -269,20 +256,6 @@ class SmaliUnit:
     fields: tuple[FieldDecl, ...]
     methods: tuple[SmaliMethod, ...]
     lines: tuple[str, ...]
-
-    @property
-    def raw_preamble(self) -> str:
-        if not self.methods:
-            return "\n".join(self.lines)
-        first = min(m.header_line_index for m in self.methods)
-        return "\n".join(self.lines[:first])
-
-    @property
-    def raw_trailing(self) -> str:
-        if not self.methods:
-            return ""
-        last = max(m.end_line_index for m in self.methods)
-        return "\n".join(self.lines[last + 1:])
 
 
 def check_type_descriptor(desc: str, *, void_ok: bool = False) -> bool:
@@ -502,7 +475,7 @@ def _parse_method_header(raw: str, line_index: int) -> tuple[frozenset[str], str
     return frozenset(flags), name, param_types, ret
 
 
-def _validate_registers(method: SmaliMethod, lineno_of: dict[int, int]) -> None:
+def _validate_registers(method: SmaliMethod) -> None:
     slots = method.param_slots
     if method.registers is not None:
         total = method.registers
@@ -538,7 +511,7 @@ def _parse_method(lines: Sequence[str], start: int) -> tuple[SmaliMethod, int]:
                 name=name, param_types=params, return_type=ret, access_flags=flags,
                 instructions=tuple(instructions), registers=registers,
                 locals_count=locals_count, header_line_index=start, end_line_index=i)
-            _validate_registers(method, {})
+            _validate_registers(method)
             return method, i + 1
         if s.startswith(".method"):
             raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)

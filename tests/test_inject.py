@@ -1,4 +1,9 @@
+import builtins
+import io
+import os
+import pathlib
 import random
+import shutil
 
 import pytest
 
@@ -311,3 +316,173 @@ def test_renamed_tree_injects_identically(tmp_path):
     # Rotation-only patches keep the signature intact; the marker guards.
     with pytest.raises(inject.AlreadyInjectedError):
         inject.plan_injection(renamed_tree, spec)
+
+
+# ---------------------------------------------------------------------------
+# planning from the index, touched-files-only apply, recovery
+
+
+def _three_wrapper_tree(tmp_path):
+    """One tree holding an S1, an S2 and an S3 wrapper: three touched files."""
+    files = {}
+    for kind, index in (("s1", 1), ("s2", 2), ("s3", 4)):
+        app, _ = synth.build_app_files(kind, index, random.Random(5))
+        files.update(app)
+    tree = tmp_path / "three"
+    synth.write_tree(files, tree)
+    return tree
+
+
+def test_plan_from_index_reads_nothing(app_tree, monkeypatch):
+    tree, _, _ = app_tree("s2", 2)
+    spec = PerturbationSpec(rotation_delta=90, format_override=17)
+    index = locate.ClassIndex.from_tree(tree)
+    matches = locate.analyze_index(index, tree.name).matches
+    from_disk = inject.plan_injection(tree, spec, matches)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planning read a file")
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    monkeypatch.setattr(pathlib.Path, "read_bytes", refuse)
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    from_index = inject.plan_injection(tree, spec, matches, index=index)
+    assert from_index.to_dict() == from_disk.to_dict()
+
+
+def test_marker_in_unparsable_file_blocks_plan(app_tree):
+    tree, _, _ = app_tree("s2", 2)
+    (tree / "smali" / "Broken.smali").write_text(
+        inject.MARKER_FIELD + "\n.method oops\n")
+    index = locate.ClassIndex.from_tree(tree)
+    assert "smali/Broken.smali" in index.unparsed
+    with pytest.raises(inject.AlreadyInjectedError, match="Broken.smali"):
+        inject.plan_injection(tree, PerturbationSpec(rotation_delta=90),
+                              index=index)
+
+
+def test_apply_leaves_untouched_inodes(tmp_path):
+    tree = _three_wrapper_tree(tmp_path)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    before = {p: (p.stat().st_ino, p.stat().st_mtime_ns)
+              for p in tree.rglob("*") if p.is_file()}
+    result = inject.apply_plan(tree, plan)
+    assert len(result.files_changed) == 3
+    for path, stamp in before.items():
+        rel = path.relative_to(tree).as_posix()
+        now = (path.stat().st_ino, path.stat().st_mtime_ns)
+        if rel in result.files_changed:
+            assert now[0] != stamp[0], rel
+        else:
+            assert now == stamp, rel
+    assert set(snapshot(tree)) == {p.relative_to(tree).as_posix() for p in before}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
+
+
+class Killed(BaseException):
+    """Stands in for the process dying: no except-Exception handler runs."""
+
+
+def _kill_at(monkeypatch, k):
+    real = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(src)
+        if len(calls) == k:
+            raise Killed()
+        return real(src, dst)
+    monkeypatch.setattr(inject.os, "replace", replace)
+
+
+def _kill_journal(monkeypatch):
+    def write_journal(root, staged):
+        raise Killed()
+    monkeypatch.setattr(inject, "_write_journal", write_journal)
+
+
+@pytest.mark.parametrize("step", ["journal", 1, 2, 3])
+def test_killed_apply_recovers_to_before_or_after(tmp_path, monkeypatch, step):
+    tree = _three_wrapper_tree(tmp_path)
+    spec = PerturbationSpec(rotation_delta=90)
+    plan = inject.plan_injection(tree, spec)
+    assert len(plan.touched_files) == 3
+    before = snapshot(tree)
+    inject.apply_plan(tree, plan)
+    after = snapshot(tree)
+    shutil.rmtree(tree)
+    tree = _three_wrapper_tree(tmp_path)
+
+    with monkeypatch.context() as patched:
+        if step == "journal":
+            _kill_journal(patched)
+        else:
+            _kill_at(patched, step)
+        with pytest.raises(Killed):
+            inject.apply_plan(tree, plan)
+    leftovers = [p for p in tree.rglob("*") if p.name.endswith(inject.TEMP_SUFFIX)]
+    assert leftovers, "a kill after staging leaves temp files"
+    journal = tmp_path / ("three" + inject.JOURNAL_SUFFIX)
+    assert journal.exists() == (step != "journal")
+
+    inject.recover(tree)
+    state = snapshot(tree)
+    assert state == (before if step == "journal" else after)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
+    if state == before:
+        inject.apply_plan(tree, plan)
+        assert snapshot(tree) == after
+    else:
+        with pytest.raises(inject.AlreadyInjectedError):
+            inject.apply_plan(tree, plan)
+
+
+def test_next_plan_rolls_a_killed_apply_forward(tmp_path, monkeypatch):
+    tree = _three_wrapper_tree(tmp_path)
+    spec = PerturbationSpec(rotation_delta=90)
+    plan = inject.plan_injection(tree, spec)
+    with monkeypatch.context() as patched:
+        _kill_at(patched, 2)
+        with pytest.raises(Killed):
+            inject.apply_plan(tree, plan)
+    with pytest.raises(inject.AlreadyInjectedError):
+        inject.plan_injection(tree, spec)
+    assert not any(p.name.endswith(inject.TEMP_SUFFIX) for p in tree.rglob("*"))
+    assert all(inject.MARKER_FIELD in (tree / rel).read_text()
+               for rel in plan.touched_files)
+
+
+def test_failed_staging_cleans_up(tmp_path, monkeypatch):
+    tree = _three_wrapper_tree(tmp_path)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    before = snapshot(tree)
+
+    def write_journal(root, staged):
+        raise OSError("disk full")
+    monkeypatch.setattr(inject, "_write_journal", write_journal)
+    with pytest.raises(OSError, match="disk full"):
+        inject.apply_plan(tree, plan)
+    assert snapshot(tree) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
+
+
+def test_crlf_wrapper_plans_and_patches_like_lf(tmp_path):
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    rel = wrapper_rel(files)
+    lf_tree, crlf_tree = tmp_path / "lf", tmp_path / "crlf"
+    synth.write_tree(files, lf_tree)
+    synth.write_tree(files, crlf_tree)
+    (crlf_tree / rel).write_bytes(files[rel].replace("\n", "\r\n").encode())
+    spec = PerturbationSpec(rotation_delta=90, width_override=64)
+
+    lf_plan = inject.plan_injection(lf_tree, spec)
+    crlf_plan = inject.plan_injection(crlf_tree, spec)
+    memory = locate.ClassIndex.from_files(
+        {rel: (crlf_tree / rel).read_bytes()})
+    memory_plan = inject.plan_injection(crlf_tree, spec, index=memory)
+    assert len(lf_plan.patches) == 2
+    assert crlf_plan.patches == lf_plan.patches == memory_plan.patches
+
+    inject.apply_plan(lf_tree, lf_plan)
+    inject.apply_plan(crlf_tree, crlf_plan)
+    assert (crlf_tree / rel).read_text() == (lf_tree / rel).read_text()
