@@ -392,3 +392,29 @@ def test_analysis_dict_round_trips_to_json(corpus):
     payload = json.dumps(analysis.to_dict(), sort_keys=True)
     decoded = json.loads(payload)
     assert decoded["matches"][0]["strategy"] == locate.STRATEGY_BITMAP
+
+
+# ---------------------------------------------------------------------------
+# indexing bytes
+
+
+def test_index_of_bytes_reads_lines_as_disk_text_does(tmp_path):
+    body = (".class public Lcom/demo/Nl;\n.super Ljava/lang/Object;\n\n"
+            ".method public constructor <init>()V\n    .registers 1\n"
+            "    return-void\n.end method\n")
+    files = {
+        "smali/Crlf.smali": body.replace("Nl;", "Crlf;").replace("\n", "\r\n").encode(),
+        "smali/Cr.smali": body.replace("Nl;", "Cr;").replace("\n", "\r").encode(),
+        "smali/Bad.smali": b"\xff\xfe.class",
+        "smali/Broken.smali": b".class public LBroken;\n.method x\n",
+    }
+    for rel, data in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(data)
+    index = locate.ClassIndex.from_files(files)
+    for rel in ("smali/Crlf.smali", "smali/Cr.smali"):
+        disk = (tmp_path / rel).read_text(encoding="utf-8").split("\n")
+        assert index.by_path[rel].lines == tuple(disk)
+    assert [rel for rel, _ in index.issues] == ["smali/Bad.smali",
+                                                "smali/Broken.smali"]
+    assert list(index.unparsed) == ["smali/Broken.smali"]
