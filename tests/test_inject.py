@@ -486,3 +486,18 @@ def test_crlf_wrapper_plans_and_patches_like_lf(tmp_path):
     inject.apply_plan(lf_tree, lf_plan)
     inject.apply_plan(crlf_tree, crlf_plan)
     assert (crlf_tree / rel).read_text() == (lf_tree / rel).read_text()
+
+
+def test_torn_journal_rolls_back(tmp_path, monkeypatch):
+    tree = _three_wrapper_tree(tmp_path)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    before = snapshot(tree)
+    with monkeypatch.context() as patched:
+        _kill_journal(patched)
+        with pytest.raises(Killed):
+            inject.apply_plan(tree, plan)
+    journal = tmp_path / ("three" + inject.JOURNAL_SUFFIX)
+    journal.write_text('["smali/com/demoapp01/vision/ImageHolder.smali", "sma')
+    inject.recover(tree)
+    assert snapshot(tree) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
