@@ -255,7 +255,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = sim.run_experiment(
         spec, image_count=config.image_count, seed=config.seed,
         preview_sizes=previews, do_normalize=args.normalize,
-        threshold=config.detection_threshold)
+        threshold=config.detection_threshold,
+        desired=(config.desired_width, config.desired_height))
     for run in (result.baseline, result.perturbed):
         print(f"{run.label}: rotation={run.rotation} "
               f"rate={run.detection_rate:.2f} mean_score={run.mean_score:.4f} "

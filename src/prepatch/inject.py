@@ -18,7 +18,9 @@ import difflib
 import json
 import os
 import shlex
+import socket
 import subprocess
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,17 +330,94 @@ def _temp_files(root: Path) -> List[Path]:
             for name in names if name.endswith(TEMP_SUFFIX)]
 
 
+def _take_lock(lock: Path) -> None:
+    """Create ``lock`` holding its owner; FileExistsError if it exists."""
+    owner = {"pid": os.getpid(), "host": socket.gethostname(),
+             "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    with lock.open("x", encoding="utf-8") as handle:
+        handle.write(json.dumps(owner) + "\n")
+
+
+def _lock_text(lock: Path) -> Optional[str]:
+    try:
+        return lock.read_text(encoding="utf-8")
+    except OSError:
+        return None
+
+
+def _parse_owner(text: Optional[str]) -> Optional[dict]:
+    try:
+        owner = json.loads(text)
+    except (TypeError, ValueError):
+        return None
+    return owner if isinstance(owner, dict) else None
+
+
+def _owner_is_dead(owner: Optional[dict]) -> bool:
+    """Whether ``owner`` is a process of this host that no longer exists."""
+    if owner is None or owner.get("host") != socket.gethostname():
+        return False
+    pid = owner.get("pid")
+    if type(pid) is not int or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass    # alive under another user, or no possible pid
+    return False
+
+
+def _break_lock(lock: Path, seen: str) -> None:
+    """Remove ``lock`` if it still holds the text ``seen``.
+
+    The lock is first renamed to a name of this process, so of two
+    processes breaking the same stale lock only one removes it; a live
+    lock taken in between is put back (FileExistsError if another took
+    its place meanwhile)."""
+    grabbed = lock.with_name(f"{lock.name}.{os.getpid()}.stale")
+    try:
+        os.rename(lock, grabbed)
+    except FileNotFoundError:
+        return
+    try:
+        if grabbed.read_text(encoding="utf-8") != seen:
+            os.link(grabbed, lock)
+    finally:
+        grabbed.unlink()
+
+
+def _held_message(lock: Path, text: Optional[str]) -> str:
+    owner = _parse_owner(text)
+    if owner is None:
+        return (f"lock file {lock} exists with no readable owner; "
+                f"concurrent injection?")
+    return (f"lock file {lock} is held by pid {owner.get('pid')} on "
+            f"{owner.get('host')} since {owner.get('time')}")
+
+
 @contextmanager
 def _locked(root: Path) -> Iterator[None]:
+    """Hold ``<tree>.lock`` for the block.
+
+    A lock left by a dead process of this host (a killed apply) is broken
+    and taken; any other existing lock raises LockHeldError."""
     lock = _beside(root, LOCK_SUFFIX)
     try:
-        lock_fd = lock.open("x")
+        _take_lock(lock)
     except FileExistsError:
-        raise LockHeldError(f"lock file {lock} exists; concurrent injection?")
+        seen = _lock_text(lock)
+        if not _owner_is_dead(_parse_owner(seen)):
+            raise LockHeldError(_held_message(lock, seen)) from None
+        try:
+            _break_lock(lock, seen)
+            _take_lock(lock)
+        except FileExistsError:
+            raise LockHeldError(_held_message(lock, _lock_text(lock))) from None
     try:
         yield
     finally:
-        lock_fd.close()
         lock.unlink(missing_ok=True)
 
 

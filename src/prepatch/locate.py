@@ -244,7 +244,11 @@ class ClassIndex:
 
     def add(self, rel_path: str, unit: SmaliUnit) -> None:
         self.by_path[rel_path] = unit
-        self.by_class.setdefault(unit.class_name, (rel_path, unit))
+        first, _ = self.by_class.setdefault(unit.class_name, (rel_path, unit))
+        if first != rel_path:
+            self.issues.append(
+                (rel_path, f"duplicate class {unit.class_name}; "
+                           f"first defined in {first}"))
 
     def resolve(self, descriptor: str) -> Optional[Tuple[str, SmaliUnit]]:
         return self.by_class.get(descriptor)
@@ -260,7 +264,8 @@ class ClassIndex:
 
         Bytes are decoded with ``_decode_text``; a file that does not decode
         or parse is recorded in ``issues``. On a duplicate class descriptor
-        the first file in tree order wins.
+        the first file in tree order wins and each later one is recorded in
+        ``issues``.
         """
         index = cls()
         for rel in sorted(files, key=tree_order):

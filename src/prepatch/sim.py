@@ -9,7 +9,15 @@ fails once the pre-processing feeds it rotated or distorted frames.
 
 Pixel-op counts serve as a deterministic latency proxy; they grow with the
 number of samples each stage produces, so larger intermediate buffers cost
-more.
+more. They are closed-form functions of the shapes: per image, W*H for the
+preview resize, W*H more for a rotation that is not a multiple of 360, and
+one per model-input pixel for the model resize and again for normalizing.
+
+``preprocess`` runs the stages one image at a time and is the reference.
+``run_once`` gets the same frames without building the preview or the
+rotated frame: every stage samples by nearest neighbour, so the three
+compose into one map from model-input pixel to source pixel, which is
+built once per run and gathered from the whole image batch at once.
 """
 
 from __future__ import annotations
@@ -112,11 +120,38 @@ def nn_resize(image: np.ndarray, out_height: int, out_width: int,
               ops: Optional[OpCount] = None) -> np.ndarray:
     """Nearest-neighbour resize: source index is floor(dst * src / dst)."""
     src_h, src_w = image.shape
-    rows = (np.arange(out_height) * src_h) // out_height
-    cols = (np.arange(out_width) * src_w) // out_width
     if ops is not None:
         ops.resize += out_height * out_width
-    return image[np.ix_(rows, cols)]
+    return image[np.ix_(_resize_index(src_h, out_height),
+                        _resize_index(src_w, out_width))]
+
+
+def _resize_index(src: int, out: int) -> np.ndarray:
+    """Source index of each of ``out`` samples along an axis of ``src``."""
+    return (np.arange(out) * src) // out
+
+
+def _inverse_rotate(ys: np.ndarray, xs: np.ndarray, shape: Tuple[int, int],
+                    degrees: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest source pixel of destination pixels (``ys``, ``xs``) of a frame
+    of ``shape`` rotated clockwise by ``degrees``, and whether it lies inside.
+
+    Every element is computed on its own, so sampling a few destination
+    pixels gives the same source pixels as mapping the whole frame.
+    """
+    theta = math.radians(degrees)
+    src_h, src_w = shape
+    cy, cx = (src_h - 1) / 2.0, (src_w - 1) / 2.0
+    # Inverse map: rotate destination coordinates back by -degrees.
+    rel_y = ys - cy
+    rel_x = xs - cx
+    src_x = np.cos(theta) * rel_x - np.sin(theta) * rel_y + cx
+    src_y = np.sin(theta) * rel_x + np.cos(theta) * rel_y + cy
+    src_xi = np.rint(src_x).astype(int)
+    src_yi = np.rint(src_y).astype(int)
+    valid = ((src_xi >= 0) & (src_xi < src_w)
+             & (src_yi >= 0) & (src_yi < src_h))
+    return src_yi, src_xi, valid
 
 
 def nn_rotate(image: np.ndarray, degrees: int,
@@ -132,19 +167,8 @@ def nn_rotate(image: np.ndarray, degrees: int,
         ops.rotate += out_pixels
     if degrees % 90 == 0:
         return np.rot90(image, k=-(degrees // 90)).copy()
-    theta = math.radians(degrees)
-    src_h, src_w = image.shape
-    cy, cx = (src_h - 1) / 2.0, (src_w - 1) / 2.0
-    ys, xs = np.mgrid[0:src_h, 0:src_w]
-    # Inverse map: rotate destination coordinates back by -degrees.
-    rel_y = ys - cy
-    rel_x = xs - cx
-    src_x = np.cos(theta) * rel_x - np.sin(theta) * rel_y + cx
-    src_y = np.sin(theta) * rel_x + np.cos(theta) * rel_y + cy
-    src_xi = np.rint(src_x).astype(int)
-    src_yi = np.rint(src_y).astype(int)
-    valid = ((src_xi >= 0) & (src_xi < src_w)
-             & (src_yi >= 0) & (src_yi < src_h))
+    ys, xs = np.mgrid[0:image.shape[0], 0:image.shape[1]]
+    src_yi, src_xi, valid = _inverse_rotate(ys, xs, image.shape, degrees)
     out = np.zeros_like(image)
     out[valid] = image[src_yi[valid], src_xi[valid]]
     return out
@@ -168,6 +192,38 @@ def preprocess(image: np.ndarray, preview: SizePair,
     if do_normalize:
         frame = normalize(frame, ops=ops)
     return frame
+
+
+def source_map(image_shape: Tuple[int, int], preview: SizePair,
+               rotation: int) -> np.ndarray:
+    """Flat index into an image of ``image_shape`` of each model-input pixel
+    that ``preprocess`` produces, or -1 where the rotation zero-fills.
+
+    Walks back from the model-input grid through the model resize, the
+    rotation and the preview resize, touching only the sampled pixels.
+    """
+    height, width = image_shape
+    degrees = rotation % 360
+    turned = ((preview.width, preview.height) if degrees in (90, 270)
+              else (preview.height, preview.width))
+    ys, xs = np.meshgrid(_resize_index(turned[0], MODEL_INPUT[0]),
+                         _resize_index(turned[1], MODEL_INPUT[1]),
+                         indexing="ij")
+    valid = np.ones(ys.shape, dtype=bool)
+    # The inverses of np.rot90(frame, -k) for k = 1, 2, 3.
+    if degrees == 90:
+        ys, xs = preview.height - 1 - xs, ys
+    elif degrees == 180:
+        ys, xs = preview.height - 1 - ys, preview.width - 1 - xs
+    elif degrees == 270:
+        ys, xs = xs, preview.width - 1 - ys
+    elif degrees:
+        ys, xs, valid = _inverse_rotate(ys, xs, (preview.height, preview.width),
+                                        degrees)
+        ys, xs = np.where(valid, ys, 0), np.where(valid, xs, 0)
+    rows = _resize_index(height, preview.height)[ys]
+    cols = _resize_index(width, preview.width)[xs]
+    return np.where(valid, rows * width + cols, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,36 +324,51 @@ class ExperimentResult:
 def run_once(images: np.ndarray, template: np.ndarray, preview: SizePair,
              rotation: int, label: str, do_normalize: bool = False,
              threshold: float = DETECTION_THRESHOLD) -> RunResult:
-    result = RunResult(label=label, rotation=rotation, detections=0,
-                       total=len(images))
+    """Push every image through ``preprocess`` and score it against the
+    template, by one gather over the batch with ``source_map``.
+
+    Frames, scores and op counts equal those of calling ``preprocess`` and
+    ``ncc`` on each image in turn.
+    """
+    count, height, width = images.shape
+    index = source_map((height, width), preview, rotation)
+    # Index -1 reads the last pixel; those samples are zeroed next.
+    frames = images.reshape(count, height * width)[:, index]
+    frames[:, index < 0] = 0
     reference = template
     if do_normalize:
+        frames = normalize(frames)
         reference = normalize(template)
-    for image in images:
-        frame = preprocess(image, preview, rotation=rotation,
-                           do_normalize=do_normalize, ops=result.ops)
-        score = ncc(frame, reference)
-        result.scores.append(score)
-        if score >= threshold:
-            result.detections += 1
-    return result
+    scores = [ncc(frame, reference) for frame in frames]
+
+    pixels = preview.width * preview.height
+    model = MODEL_INPUT[0] * MODEL_INPUT[1]
+    ops = OpCount(resize=count * (pixels + model),
+                  rotate=count * pixels if rotation % 360 else 0,
+                  normalize=count * model if do_normalize else 0)
+    return RunResult(label=label, rotation=rotation,
+                     detections=sum(score >= threshold for score in scores),
+                     total=count, scores=scores, ops=ops)
 
 
 def run_experiment(spec: PerturbationSpec, image_count: int = 100,
                    seed: int = 20240817,
                    preview_sizes: Sequence[Tuple[int, int]] = ((640, 320),),
                    do_normalize: bool = False,
-                   threshold: float = DETECTION_THRESHOLD) -> ExperimentResult:
+                   threshold: float = DETECTION_THRESHOLD,
+                   desired: Tuple[int, int] = (DESIRED_WIDTH, DESIRED_HEIGHT)
+                   ) -> ExperimentResult:
     """Run the pipeline with and without the perturbation on one dataset.
 
-    The baseline applies no extra rotation; the perturbed run applies the
-    spec to a stored rotation of zero, which is what an injected override
-    or delta turns into at runtime.
+    The preview is the supported size whose area is closest to the
+    ``desired`` (width, height). The baseline applies no extra rotation;
+    the perturbed run applies the spec to a stored rotation of zero, which
+    is what an injected override or delta turns into at runtime.
     """
     template = make_template()
     rng = np.random.default_rng(seed)
     images = make_dataset(template, image_count, rng)
-    preview = select_size(preview_sizes)
+    preview = select_size(preview_sizes, *desired)
     if preview is None:
         raise ValueError("no preview sizes supplied")
 

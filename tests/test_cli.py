@@ -303,6 +303,22 @@ def test_cli_config_reaches_simulate(tmp_path, capsys):
     assert json.loads(report.read_text())["baseline"]["total"] == 7
 
 
+def test_config_desired_size_picks_preview(tmp_path, capsys):
+    def baseline_ops(*extra):
+        report = tmp_path / "out.json"
+        code, _, _ = run(["simulate", "--rotation-delta", "90", "--images", "2",
+                          "--preview", "640x320", "--preview", "160x120",
+                          "--report", str(report), *extra], capsys)
+        assert code == 0
+        return json.loads(report.read_text())["baseline"]["pixel_ops"]
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"desired_width": 200,
+                                       "desired_height": 100}))
+    assert baseline_ops() == 2 * (640 * 320 + 32 * 32)
+    assert baseline_ops("--config", str(config_path)) == 2 * (160 * 120 + 32 * 32)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

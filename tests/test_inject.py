@@ -1,9 +1,12 @@
 import builtins
 import io
+import json
 import os
 import pathlib
 import random
 import shutil
+import signal
+import socket
 
 import pytest
 
@@ -501,3 +504,66 @@ def test_torn_journal_rolls_back(tmp_path, monkeypatch):
     inject.recover(tree)
     assert snapshot(tree) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
+
+
+def _apply_killed_in_child(tree, plan, k):
+    """Run ``apply_plan`` in a child process that is SIGKILLed inside its
+    k-th ``os.replace``; returns the child's pid once it is reaped."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            real, calls = os.replace, []
+
+            def replace(src, dst):
+                calls.append(src)
+                if len(calls) == k:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(src, dst)
+            inject.os.replace = replace
+            inject.apply_plan(tree, plan)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    return pid
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_lock_of_a_killed_apply_is_broken_and_rolled_forward(tmp_path, step):
+    tree = _three_wrapper_tree(tmp_path)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    inject.apply_plan(tree, plan)
+    after = snapshot(tree)
+    shutil.rmtree(tree)
+    tree = _three_wrapper_tree(tmp_path)
+
+    pid = _apply_killed_in_child(tree, plan, step)
+    lock = tmp_path / ("three" + inject.LOCK_SUFFIX)
+    owner = json.loads(lock.read_text())
+    assert (owner["pid"], owner["host"]) == (pid, socket.gethostname())
+    assert (tmp_path / ("three" + inject.JOURNAL_SUFFIX)).exists()
+
+    with pytest.raises(inject.AlreadyInjectedError):
+        inject.apply_plan(tree, plan)
+    assert snapshot(tree) == after
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
+
+
+def test_lock_of_a_live_or_foreign_owner_is_kept(app_tree):
+    tree, _, _ = app_tree("s2", 2)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    before = snapshot(tree)
+    dead = os.fork()
+    if dead == 0:
+        os._exit(0)
+    os.waitpid(dead, 0)
+    lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
+    for owner in ({"pid": os.getpid(), "host": socket.gethostname(), "time": "t"},
+                  {"pid": dead, "host": "elsewhere.invalid", "time": "t"},
+                  {"pid": 2 ** 40, "host": socket.gethostname(), "time": "t"}):
+        lock.write_text(json.dumps(owner))
+        with pytest.raises(inject.LockHeldError,
+                           match=f"pid {owner['pid']} on {owner['host']}"):
+            inject.apply_plan(tree, plan)
+        assert json.loads(lock.read_text()) == owner
+    assert snapshot(tree) == before

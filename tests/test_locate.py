@@ -418,3 +418,17 @@ def test_index_of_bytes_reads_lines_as_disk_text_does(tmp_path):
     assert [rel for rel, _ in index.issues] == ["smali/Bad.smali",
                                                 "smali/Broken.smali"]
     assert list(index.unparsed) == ["smali/Broken.smali"]
+
+
+def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
+    files, _ = synth.build_app_files("s2", 2, random.Random(3))
+    first = next(rel for rel in files if "ImageHolder" in rel)
+    second = "smali_classes2/" + first.split("/", 1)[1]
+    files[second] = files[first].replace(".super", "# second dex\n.super", 1)
+    synth.write_tree(files, tmp_path / "app")
+    index = locate.ClassIndex.from_tree(tmp_path / "app")
+    descriptor = index.by_path[first].class_name
+    assert index.resolve(descriptor)[0] == first
+    assert second in index.by_path
+    assert index.issues == [
+        (second, f"duplicate class {descriptor}; first defined in {first}")]

@@ -262,3 +262,76 @@ def test_experiment_consistent_with_direct_pipeline(rotation):
     for image, score in zip(images, run.scores):
         frame = sim.preprocess(image, sim.SizePair(640, 320), rotation=rotation)
         assert sim.ncc(frame, template) == score
+
+
+def _per_image(images, template, preview, rotation, do_normalize):
+    """``run_once`` by the per-image reference pipeline."""
+    ops = sim.OpCount()
+    reference = sim.normalize(template) if do_normalize else template
+    scores = [sim.ncc(sim.preprocess(image, preview, rotation=rotation,
+                                     do_normalize=do_normalize, ops=ops),
+                      reference)
+              for image in images]
+    return scores, sum(s >= sim.DETECTION_THRESHOLD for s in scores), ops
+
+
+# Right angles take their own path; uniform draws would rarely hit them.
+ROTATIONS = st.one_of(st.integers(-8, 8).map(lambda k: 90 * k),
+                      st.integers(-720, 720))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(8, 96), st.integers(8, 96),
+       st.integers(1, 1400), st.integers(1, 1400),
+       ROTATIONS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_run_once_equals_per_image_pipeline(height, width, preview_w, preview_h,
+                                            rotation, do_normalize, seed):
+    template = sim.make_template()
+    images = np.random.default_rng(seed).uniform(0.0, 255.0,
+                                                 size=(2, height, width))
+    # The template among the images lets some examples detect.
+    images[0] = sim.nn_resize(template, height, width)
+    preview = sim.SizePair(preview_w, preview_h)
+    run = sim.run_once(images, template, preview, rotation, "x",
+                       do_normalize=do_normalize)
+    scores, detections, ops = _per_image(images, template, preview, rotation,
+                                         do_normalize)
+    assert run.scores == scores
+    assert run.detections == detections
+    assert run.ops == ops
+
+
+@pytest.mark.parametrize("rotation", [0, 90, 180, 270, -90, 45, 300])
+def test_run_once_equals_per_image_pipeline_on_a_grid(rotation):
+    template = sim.make_template()
+    images = np.random.default_rng(5).uniform(0.0, 255.0, size=(2, 20, 37))
+    for size in ((1, 1), (17, 33), (33, 17), (37, 20), (160, 120), (640, 320)):
+        preview = sim.SizePair(*size)
+        for do_normalize in (False, True):
+            run = sim.run_once(images, template, preview, rotation, "x",
+                               do_normalize=do_normalize)
+            assert (run.scores, run.detections, run.ops) == _per_image(
+                images, template, preview, rotation, do_normalize), size
+
+
+@pytest.mark.parametrize("rotation", [0, 90, 45])
+def test_run_once_does_not_call_per_image_pipeline(monkeypatch, rotation):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-image pipeline called")
+    for name in ("preprocess", "nn_resize", "nn_rotate"):
+        monkeypatch.setattr(sim, name, refuse)
+    template = sim.make_template()
+    images = sim.make_dataset(template, 3, np.random.default_rng(1))
+    run = sim.run_once(images, template, sim.SizePair(640, 320), rotation,
+                       "x", do_normalize=True)
+    assert run.total == 3 and len(run.scores) == 3
+
+
+def test_source_map_zero_fills_only_arbitrary_angles():
+    preview = sim.SizePair(640, 320)
+    for rotation in (0, 90, 180, 270, -90, 720):
+        index = sim.source_map((64, 64), preview, rotation)
+        assert index.shape == sim.MODEL_INPUT
+        assert index.min() >= 0 and index.max() < 64 * 64
+    index = sim.source_map((64, 64), preview, 45)
+    assert (index == -1).any() and (index >= 0).any()
