@@ -18,7 +18,6 @@ import difflib
 import json
 import os
 import shlex
-import socket
 import subprocess
 import time
 from contextlib import contextmanager
@@ -332,7 +331,7 @@ def _temp_files(root: Path) -> List[Path]:
 
 def _take_lock(lock: Path) -> None:
     """Create ``lock`` holding its owner; FileExistsError if it exists."""
-    owner = {"pid": os.getpid(), "host": socket.gethostname(),
+    owner = {"pid": os.getpid(), "host": os.uname().nodename,
              "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     with lock.open("x", encoding="utf-8") as handle:
         handle.write(json.dumps(owner) + "\n")
@@ -355,7 +354,7 @@ def _parse_owner(text: Optional[str]) -> Optional[dict]:
 
 def _owner_is_dead(owner: Optional[dict]) -> bool:
     """Whether ``owner`` is a process of this host that no longer exists."""
-    if owner is None or owner.get("host") != socket.gethostname():
+    if owner is None or owner.get("host") != os.uname().nodename:
         return False
     pid = owner.get("pid")
     if type(pid) is not int or pid <= 0:

@@ -6,7 +6,6 @@ import pathlib
 import random
 import shutil
 import signal
-import socket
 
 import pytest
 
@@ -540,7 +539,7 @@ def test_lock_of_a_killed_apply_is_broken_and_rolled_forward(tmp_path, step):
     pid = _apply_killed_in_child(tree, plan, step)
     lock = tmp_path / ("three" + inject.LOCK_SUFFIX)
     owner = json.loads(lock.read_text())
-    assert (owner["pid"], owner["host"]) == (pid, socket.gethostname())
+    assert (owner["pid"], owner["host"]) == (pid, os.uname().nodename)
     assert (tmp_path / ("three" + inject.JOURNAL_SUFFIX)).exists()
 
     with pytest.raises(inject.AlreadyInjectedError):
@@ -558,9 +557,9 @@ def test_lock_of_a_live_or_foreign_owner_is_kept(app_tree):
         os._exit(0)
     os.waitpid(dead, 0)
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
-    for owner in ({"pid": os.getpid(), "host": socket.gethostname(), "time": "t"},
+    for owner in ({"pid": os.getpid(), "host": os.uname().nodename, "time": "t"},
                   {"pid": dead, "host": "elsewhere.invalid", "time": "t"},
-                  {"pid": 2 ** 40, "host": socket.gethostname(), "time": "t"}):
+                  {"pid": 2 ** 40, "host": os.uname().nodename, "time": "t"}):
         lock.write_text(json.dumps(owner))
         with pytest.raises(inject.LockHeldError,
                            match=f"pid {owner['pid']} on {owner['host']}"):
