@@ -233,7 +233,7 @@ def plan_injection(root: Path, spec: PerturbationSpec,
         raise AlreadyInjectedError(f"{marked} already carries {MARKER_FIELD!r}")
     if matches is None:
         matches = []
-        for rel in sorted(index.by_path):
+        for rel in index.owned_paths():
             matches.extend(locate.match_constructors(index.by_path[rel], rel))
 
     plan = InjectionPlan(root=root.name, spec=spec, matches=list(matches))

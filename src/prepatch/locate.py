@@ -253,6 +253,11 @@ class ClassIndex:
     def resolve(self, descriptor: str) -> Optional[Tuple[str, SmaliUnit]]:
         return self.by_class.get(descriptor)
 
+    def owned_paths(self) -> List[str]:
+        """Sorted paths of the files that own their class descriptor; a
+        later duplicate of a class is shadowed and never analyzed."""
+        return sorted(rel for rel, _ in self.by_class.values())
+
     @classmethod
     def from_tree(cls, root: Path) -> "ClassIndex":
         return cls.from_files({file.relative_to(root).as_posix(): file.read_bytes()
@@ -288,11 +293,21 @@ class ClassIndex:
 # anchors
 
 
+def _mentions_inference_owner(method: SmaliMethod) -> bool:
+    """True if the method's lines name an inference API owner. An inference
+    invoke names its owner in its own line, so a method without one has no
+    anchor, and its instructions need not be built."""
+    body = "\n".join(method.lines[method.header_line_index:method.end_line_index])
+    return any(prefix in body for prefix in INFERENCE_OWNER_PREFIXES)
+
+
 def find_anchors(index: ClassIndex) -> List[SliceAnchor]:
     anchors: List[SliceAnchor] = []
-    for rel_path in sorted(index.by_path):
+    for rel_path in index.owned_paths():
         unit = index.by_path[rel_path]
         for method in unit.methods:
+            if not _mentions_inference_owner(method):
+                continue
             for instr in method.instructions:
                 if instr.kind is not OpKind.INVOKE:
                     continue
@@ -752,7 +767,7 @@ def analyze_index(index: ClassIndex, name: str, depth: int = 1) -> AnalysisResul
                             anchors=anchors, issues=list(index.issues))
     for anchor in anchors:
         result.slices.append(backward_slice(index, anchor, depth=depth))
-    for rel_path in sorted(index.by_path):
+    for rel_path in index.owned_paths():
         result.matches.extend(match_constructors(index.by_path[rel_path], rel_path))
     return result
 

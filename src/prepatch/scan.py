@@ -10,6 +10,7 @@ uses.
 
 from __future__ import annotations
 
+import os
 import re
 import zipfile
 import zlib
@@ -18,6 +19,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from .locate import tree_order
 
 MODEL_SUFFIXES = (".tflite", ".tfl", ".lite")
 
@@ -142,15 +145,35 @@ def _load_archive(path: Path) -> AppFiles:
     return AppFiles(path.stem, path, entries, data, unsafe)
 
 
-def _load_tree(root: Path) -> AppFiles:
-    entries, data = [], {}
-    for file in sorted(root.rglob("*")):
-        if not file.is_file():
+def _tree_files(root: Path) -> List[str]:
+    """Relative paths of the files under ``root`` in tree order, as
+    ``sorted(root.rglob("*"))`` filtered by ``is_file()`` gives them:
+    symlinks to files count, symlinked directories are not entered, and an
+    unreadable directory is skipped."""
+    files: List[str] = []
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        try:
+            with os.scandir(os.path.join(root, prefix)) as it:
+                for entry in it:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(prefix + entry.name + "/")
+                    elif entry.is_file():
+                        files.append(prefix + entry.name)
+        except PermissionError:
             continue
-        rel = file.relative_to(root).as_posix()
-        entries.append(rel)
+    files.sort(key=tree_order)
+    return files
+
+
+def _load_tree(root: Path) -> AppFiles:
+    entries = _tree_files(root)
+    data = {}
+    for rel in entries:
         if _is_read(rel):
-            data[rel] = file.read_bytes()
+            with open(os.path.join(root, rel), "rb") as fh:
+                data[rel] = fh.read()
     return AppFiles(root.name, root, tuple(entries), data)
 
 

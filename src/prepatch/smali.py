@@ -11,6 +11,15 @@ source file and every structured instruction points back into it, which is
 what makes minimal-diff patching possible.  Supported opcodes with malformed
 operands are rejected with a syntax error rather than guessed at; unknown
 opcodes pass through untouched.
+
+``parse_unit`` validates every line eagerly, but a method's ``Instruction``
+objects are built only when its ``instructions`` are first read: most
+methods of an app are never read by analysis.  Validation checks each
+supported instruction line with one precompiled pattern per opcode family.
+A pattern accepts only lines that ``_parse_instruction`` accepts; a line it
+rejects, or a method whose registers may exceed the frame, is re-checked by
+``_parse_instruction`` and ``_validate_registers``, the same functions that
+build the instructions, so errors and values are those of a full parse.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 
@@ -222,11 +232,24 @@ class SmaliMethod:
     param_types: tuple[str, ...]
     return_type: str
     access_flags: frozenset[str]
-    instructions: tuple[Instruction, ...]
     registers: Optional[int]      # .registers value, or None
     locals_count: Optional[int]   # .locals value, or None
     header_line_index: int
     end_line_index: int
+    lines: tuple[str, ...] = field(repr=False)   # the lines of the whole unit
+
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The body's instructions, built from its lines on first read."""
+        out = []
+        for i in range(self.header_line_index + 1, self.end_line_index):
+            raw = self.lines[i]
+            s = raw.strip()
+            if s.startswith(".registers") or s.startswith(".locals"):
+                out.append(Instruction(s.split()[0], OpKind.DIRECTIVE, (), raw, i))
+            elif s and not s.startswith("#"):
+                out.append(_parse_instruction(raw, s, i))
+        return tuple(out)
 
     @property
     def is_constructor(self) -> bool:
@@ -475,22 +498,32 @@ def _parse_method_header(raw: str, line_index: int) -> tuple[frozenset[str], str
     return frozenset(flags), name, param_types, ret
 
 
-def _validate_registers(method: SmaliMethod) -> None:
-    slots = method.param_slots
+def _frame_size(method: SmaliMethod) -> Optional[int]:
+    """Registers in the method's frame; None without .registers/.locals."""
     if method.registers is not None:
-        total = method.registers
-    elif method.locals_count is not None:
-        total = method.locals_count + slots
-    else:
+        return method.registers
+    if method.locals_count is not None:
+        return method.locals_count + method.param_slots
+    return None
+
+
+def _operand_registers(ins: Instruction) -> list[Register]:
+    regs: list[Register] = []
+    for op in ins.operands:
+        if isinstance(op, Register):
+            regs.append(op)
+        elif isinstance(op, RegisterList):
+            regs.extend(op.registers)
+    return regs
+
+
+def _validate_registers(method: SmaliMethod) -> None:
+    total = _frame_size(method)
+    if total is None:
         return
+    slots = method.param_slots
     for ins in method.instructions:
-        regs: list[Register] = []
-        for op in ins.operands:
-            if isinstance(op, Register):
-                regs.append(op)
-            elif isinstance(op, RegisterList):
-                regs.extend(op.registers)
-        for r in regs:
+        for r in _operand_registers(ins):
             bad = (r.kind == "p" and r.index >= slots) or (r.kind == "v" and r.index >= total)
             if bad:
                 raise SmaliSyntaxError(
@@ -498,42 +531,115 @@ def _validate_registers(method: SmaliMethod) -> None:
                     ins.line_index + 1)
 
 
-def _parse_method(lines: Sequence[str], start: int) -> tuple[SmaliMethod, int]:
+# Validation patterns, one per supported opcode family, matched against the
+# operand text after the opcode. Each accepts a subset of what
+# _parse_instruction accepts. No operand part may hold '#' or ',', so the
+# first '#' starts the comment and the ',' splits fall where
+# _parse_instruction puts them. The groups capture the register operands.
+_R = r"([vp][0-9]+)"
+_TAIL = r"\s*(?:#.*)?"
+_TYPE = r"\[*(?:[ZBCSIJFD]|L[^;\s#,]+;)"
+_METHOD = (r"\[*(?:L[^;\s#,]+;|[ZBCSIJFD])->[^(\s#,]+"
+           r"\((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*\)(?:V|" + _TYPE + ")")
+_LIST_REG_RE = re.compile(r"[vp][0-9]+")
+_REGS, _LIST, _RANGE = 0, 1, 2   # how a pattern's groups hold registers
+_CHECKS: dict[str, tuple[re.Pattern, int]] = {}
+for _ops, _pattern, _mode in (
+        (CONST_INT_OPS, rf"{_R}\s*,\s*-?(?:0[xX][0-9a-fA-F]+|[0-9]+){_TAIL}", _REGS),
+        (CONST_STRING_OPS, rf'{_R}\s*,\s*"(?:[^"\\]|\\.)*"\s*', _REGS),
+        (CONST_CLASS_OPS | {"new-instance", "check-cast"},
+         rf"{_R}\s*,\s*{_TYPE}{_TAIL}", _REGS),
+        (IPUT_OPS | IGET_OPS,
+         rf"{_R}\s*,\s*{_R}\s*,\s*\[*L[^;\s#,]+;->[^:\s#,]+:{_TYPE}{_TAIL}", _REGS),
+        (INVOKE_OPS,
+         rf"\{{(\s*(?:[vp][0-9]+(?:\s*,\s*[vp][0-9]+)*)?\s*)\}}\s*,\s*{_METHOD}{_TAIL}",
+         _LIST),
+        (INVOKE_RANGE_OPS,
+         rf"\{{\s*(?:{_R}\s*\.\.\s*{_R})?\s*\}}\s*,\s*{_METHOD}{_TAIL}", _RANGE),
+        (MOVE_OPS, rf"{_R}\s*,\s*{_R}{_TAIL}", _REGS),
+        (MOVE_RESULT_OPS | RETURN_OPS - {"return-void"}, rf"{_R}{_TAIL}", _REGS),
+        ({"return-void"}, _TAIL, _REGS)):
+    for _op in _ops:
+        _CHECKS[_op] = (re.compile(_pattern), _mode)
+
+
+def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
+    """Register operands of an instruction line that the validation
+    patterns accept, () for an unsupported opcode, None for a rejected line.
+
+    For a /range list only its bounds are returned: they hold the highest
+    index, which is all the frame check needs.
+    """
+    parts = stripped.split(None, 1)
+    check = _CHECKS.get(parts[0])
+    if check is None:
+        return ()
+    pattern, mode = check
+    m = pattern.fullmatch(parts[1] if len(parts) > 1 else "")
+    if m is None:
+        return None
+    if mode == _REGS:
+        return m.groups()
+    if mode == _LIST:
+        return _LIST_REG_RE.findall(m.group(1))
+    first, last = m.groups()
+    if first is None:
+        return ()
+    if first[0] != last[0] or int(last[1:]) < int(first[1:]):
+        return None
+    return first, last
+
+
+def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]:
+    """Validate one method; its instructions are built on first read."""
     flags, name, params, ret = _parse_method_header(lines[start].strip(), start)
-    instructions: list[Instruction] = []
     registers = locals_count = None
-    i = start + 1
-    while i < len(lines):
-        raw = lines[i]
-        s = raw.strip()
-        if s == ".end method":
-            method = SmaliMethod(
-                name=name, param_types=params, return_type=ret, access_flags=flags,
-                instructions=tuple(instructions), registers=registers,
-                locals_count=locals_count, header_line_index=start, end_line_index=i)
-            _validate_registers(method)
-            return method, i + 1
-        if s.startswith(".method"):
-            raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
-        if s.startswith(".registers") or s.startswith(".locals"):
-            toks = s.split()
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
-            if toks[0] == ".registers":
-                registers = int(toks[1])
-            else:
-                locals_count = int(toks[1])
-            instructions.append(Instruction(toks[0], OpKind.DIRECTIVE, (), raw, i))
-        elif s and not s.startswith("#"):
-            instructions.append(_parse_instruction(raw, s, i))
-        i += 1
+    used: set[str] = set()   # register operands of the body
+    for i in range(start + 1, len(lines)):
+        s = lines[i].strip()
+        if not s:
+            continue
+        first = s[0]
+        if first == ".":
+            if s == ".end method":
+                method = SmaliMethod(
+                    name=name, param_types=params, return_type=ret, access_flags=flags,
+                    registers=registers, locals_count=locals_count,
+                    header_line_index=start, end_line_index=i, lines=lines)
+                if _may_exceed_frame(method, used):
+                    _validate_registers(method)
+                return method, i + 1
+            if s.startswith(".method"):
+                raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
+            if s.startswith(".registers") or s.startswith(".locals"):
+                toks = s.split()
+                if len(toks) != 2 or not toks[1].isdigit():
+                    raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
+                if toks[0] == ".registers":
+                    registers = int(toks[1])
+                else:
+                    locals_count = int(toks[1])
+        elif first != "#" and first != ":":
+            regs = _fast_registers(s)
+            if regs is None:
+                regs = [r.name for r in
+                        _operand_registers(_parse_instruction(lines[i], s, i))]
+            used.update(regs)
     raise SmaliSyntaxError(f"unterminated .method '{name}' (no .end method)", start + 1)
+
+
+def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
+    total = _frame_size(method)
+    if total is None:
+        return False
+    slots = method.param_slots
+    return any(int(r[1:]) >= (total if r[0] == "v" else slots) for r in used)
 
 
 def parse_unit(text: str) -> SmaliUnit:
     """Parse one smali class file.  The input must contain exactly one
     ``.class`` declaration; the returned unit re-emits the text unchanged."""
-    lines = text.split("\n")
+    lines = tuple(text.split("\n"))
     class_name: Optional[str] = None
     class_flags: frozenset[str] = frozenset()
     super_name: Optional[str] = None
@@ -580,7 +686,7 @@ def parse_unit(text: str) -> SmaliUnit:
         raise SmaliSyntaxError("missing .class declaration", 1)
     return SmaliUnit(
         class_name=class_name, super_name=super_name, class_flags=class_flags,
-        fields=tuple(fields), methods=tuple(methods), lines=tuple(lines))
+        fields=tuple(fields), methods=tuple(methods), lines=lines)
 
 
 _FIELD_DECL_RE = re.compile(r"^\.field\s+((?:[\w-]+\s+)*)([^:\s]+):(\S+)(?:\s*=\s*(.+))?$")

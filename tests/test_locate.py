@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from prepatch import locate, smali, synth
+from prepatch import inject, locate, smali, synth
+from prepatch.perturbation import PerturbationSpec
 
 
 def _analysis(kind, index, seed=3):
@@ -394,6 +395,43 @@ def test_analysis_dict_round_trips_to_json(corpus):
     assert decoded["matches"][0]["strategy"] == locate.STRATEGY_BITMAP
 
 
+def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
+    files, truth = synth.build_app_files("s2", 2, random.Random(3))
+    plain = locate.analyze_files(files, truth.name)
+    synth._add_fillers(files, "demoapp02/pad", random.Random(4), 200)
+    indexes, parsed = [], []
+    from_files = locate.ClassIndex.from_files.__func__
+    monkeypatch.setattr(locate.ClassIndex, "from_files", classmethod(
+        lambda cls, f: indexes.append(from_files(cls, f)) or indexes[-1]))
+    parse = smali._parse_instruction
+    monkeypatch.setattr(smali, "_parse_instruction",
+                        lambda raw, s, i: parsed.append(raw) or parse(raw, s, i))
+
+    analysis = locate.analyze_files(files, truth.name)
+
+    def without_units(result):
+        return {k: v for k, v in result.to_dict().items() if k != "units"}
+    assert without_units(analysis) == without_units(plain)
+    assert [m.strategy for m in analysis.matches] == list(truth.strategies)
+    assert len(analysis.anchors) == 1
+    (index,) = indexes
+    built = [(rel, m) for rel, unit in index.by_path.items()
+             for m in unit.methods if "instructions" in vars(m)]
+    assert built
+    assert not any("/util/" in rel for rel, _ in built)   # no filler
+    walked = {(unit, line) for s in analysis.slices for unit, line, _ in s.trace}
+    anchored = {(a.unit_path, a.method_signature) for a in analysis.anchors}
+    for rel, method in built:
+        assert (method.is_constructor or (rel, method.signature) in anchored
+                or any(unit == rel and method.header_line_index < line
+                       < method.end_line_index for unit, line in walked)), \
+            (rel, method.signature)
+    # Each built method's lines were parsed once, and no other line was.
+    assert len(parsed) == sum(
+        1 for _, m in built for i in m.instructions
+        if not i.raw_text.strip().startswith((".registers", ".locals")))
+
+
 # ---------------------------------------------------------------------------
 # indexing bytes
 
@@ -425,10 +463,24 @@ def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
     first = next(rel for rel in files if "ImageHolder" in rel)
     second = "smali_classes2/" + first.split("/", 1)[1]
     files[second] = files[first].replace(".super", "# second dex\n.super", 1)
+    activity = next(rel for rel in files if "MainActivity" in rel)
+    files["smali_classes2/" + activity.split("/", 1)[1]] = files[activity]
     synth.write_tree(files, tmp_path / "app")
     index = locate.ClassIndex.from_tree(tmp_path / "app")
     descriptor = index.by_path[first].class_name
     assert index.resolve(descriptor)[0] == first
     assert second in index.by_path
-    assert index.issues == [
-        (second, f"duplicate class {descriptor}; first defined in {first}")]
+    assert (second, f"duplicate class {descriptor}; first defined in {first}") \
+        in index.issues
+    assert len(index.issues) == 2
+
+    # Only the file that owns a descriptor is analyzed, planned and patched.
+    analysis = locate.analyze_files(files)
+    assert [a.unit_path for a in analysis.anchors] == [activity]
+    assert [m.unit_path for m in analysis.matches] == [first]
+    spec = PerturbationSpec(rotation_delta=90)
+    plan = inject.plan_injection(tmp_path / "app", spec)
+    assert [m.unit_path for m in plan.matches] == [first]
+    result = inject.apply_plan(tmp_path / "app", plan)
+    assert result.files_changed == [first]
+    assert (tmp_path / "app" / second).read_text() == files[second]

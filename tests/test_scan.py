@@ -131,6 +131,40 @@ def test_scan_tree_matches_scan_apk(tmp_path):
     assert from_zip.services == from_tree.services
 
 
+def test_tree_load_matches_sorted_rglob(tmp_path):
+    root = tmp_path / "app"
+    files = {
+        "AndroidManifest.xml": b"<manifest/>",
+        "smali/com/a/B.smali": b".class LB;",
+        "smali/com/a-b/C.smali": b".class LC;",
+        "smali/com/a/b/D.smali": b".class LD;",
+        "smali_classes2/E.smali": b".class LE;",
+        "assets/models/m.tflite": b"\x00",
+        "Z.txt": b"z",
+        ".hidden.smali": b".class LH;",
+    }
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    (root / "empty" / "nested").mkdir(parents=True)
+    outside = tmp_path / "outside"
+    (outside / "deep").mkdir(parents=True)
+    (outside / "F.smali").write_bytes(b".class LF;")
+    (outside / "deep" / "G.smali").write_bytes(b".class LG;")
+    (root / "smali" / "linked.smali").symlink_to(outside / "F.smali")
+    (root / "smali" / "linkdir").symlink_to(outside, target_is_directory=True)
+    (root / "smali" / "dangling.smali").symlink_to(tmp_path / "missing")
+
+    app = scan.load_app(root)
+    expected = [p.relative_to(root).as_posix()
+                for p in sorted(root.rglob("*")) if p.is_file()]
+    assert list(app.entries) == expected
+    assert "smali/linked.smali" in expected
+    assert not any(rel.startswith("smali/linkdir") for rel in expected)
+    assert app.data == {rel: (root / rel).read_bytes() for rel in expected
+                        if rel.endswith(".smali") or rel == "AndroidManifest.xml"}
+
+
 def test_unscannable_archive(tmp_path):
     bad = tmp_path / "broken.apk"
     bad.write_bytes(synth.corrupt_apk_bytes(random.Random(4)))

@@ -228,3 +228,278 @@ def test_arbitrary_text_never_emits_differently(text):
     except SmaliSyntaxError:
         return
     assert smali.emit_unit(unit) == text
+
+
+# ---------------------------------------------------------------------------
+# validation pass against a full parse
+#
+# parse_unit validates lines with fast patterns and builds instructions on
+# first read. The reference below is the eager parser it replaced: it parses
+# every line of every method and checks registers at each ``.end method``.
+
+
+def _reference_registers(method_regs, total, slots, instructions):
+    for ins in instructions:
+        regs = []
+        for op in ins.operands:
+            if isinstance(op, smali.Register):
+                regs.append(op)
+            elif isinstance(op, smali.RegisterList):
+                regs.extend(op.registers)
+        for r in regs:
+            if (r.kind == "p" and r.index >= slots) or (r.kind == "v" and r.index >= total):
+                raise SmaliSyntaxError(
+                    f"register {r.name} out of range (frame {total}, params {slots})",
+                    ins.line_index + 1)
+
+
+def _reference_method(lines, start):
+    flags, name, params, ret = smali._parse_method_header(lines[start].strip(), start)
+    instructions, registers, locals_count = [], None, None
+    for i in range(start + 1, len(lines)):
+        raw = lines[i]
+        s = raw.strip()
+        if s == ".end method":
+            slots = (0 if "static" in flags else 1) + sum(
+                2 if t in ("J", "D") else 1 for t in params)
+            total = registers if registers is not None else (
+                None if locals_count is None else locals_count + slots)
+            if total is not None:
+                _reference_registers(None, total, slots, instructions)
+            return (name, params, ret, flags, registers, locals_count, start, i,
+                    tuple(instructions)), i + 1
+        if s.startswith(".method"):
+            raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
+        if s.startswith(".registers") or s.startswith(".locals"):
+            toks = s.split()
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
+            if toks[0] == ".registers":
+                registers = int(toks[1])
+            else:
+                locals_count = int(toks[1])
+            instructions.append(smali.Instruction(toks[0], OpKind.DIRECTIVE, (), raw, i))
+        elif s and not s.startswith("#"):
+            instructions.append(smali._parse_instruction(raw, s, i))
+    raise SmaliSyntaxError(f"unterminated .method '{name}' (no .end method)", start + 1)
+
+
+def _reference_parse(text):
+    lines = text.split("\n")
+    class_name, methods, i = None, [], 0
+    while i < len(lines):
+        s = lines[i].strip()
+        if s.startswith(".class") and not s.startswith("#"):
+            if class_name is not None:
+                raise SmaliSyntaxError("duplicate .class declaration", i + 1)
+            toks = s.split()
+            if len(toks) < 2 or not smali.check_type_descriptor(toks[-1]) \
+                    or not toks[-1].startswith("L"):
+                raise SmaliSyntaxError("malformed .class declaration", i + 1)
+            class_name = toks[-1]
+        elif s.startswith(".super"):
+            toks = s.split()
+            if len(toks) != 2 or not smali.check_type_descriptor(toks[1]):
+                raise SmaliSyntaxError("malformed .super declaration", i + 1)
+        elif s.startswith(".field"):
+            smali._parse_field_decl(lines[i], i)
+        elif s.startswith(".method"):
+            if class_name is None:
+                raise SmaliSyntaxError(".method before .class declaration", i + 1)
+            method, i = _reference_method(lines, i)
+            methods.append(method)
+            continue
+        elif s == ".end method":
+            raise SmaliSyntaxError(".end method without matching .method", i + 1)
+        i += 1
+    if class_name is None:
+        raise SmaliSyntaxError("missing .class declaration", 1)
+    return methods
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except SmaliSyntaxError as exc:
+        return "error", (str(exc), exc.line)
+
+
+def _lazy_methods(text):
+    return [(m.name, m.param_types, m.return_type, m.access_flags, m.registers,
+             m.locals_count, m.header_line_index, m.end_line_index, m.instructions)
+            for m in smali.parse_unit(text).methods]
+
+
+# Operand pools: (well-formed, odd). An odd value may still be one the
+# parser accepts, e.g. a register with non-ASCII digits.
+_POOLS = {
+    "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10"],
+            ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x"]),
+    "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff"],
+            ["xb4", "0x", "1e3", "+1", "--1", "١٢", "0xg", "- 1"]),
+    "type": (["I", "[B", "Landroid/graphics/Bitmap;", "Lx;", "[[Lx;"],
+             ["L;", "Q", "[", "La/b c;", "La#b;", "La,b;", "V"]),
+    "field": (["Lcom/demo/Holder;->zzd:I", "Lx;->a:[Lx;", "[Lx;->a:I", "Lx;->a-b:J"],
+              ["Lcom/demo/Holder;>zzd:I", "Lx;->a:Q", "Lx;->a:", "Lx;->a#b:I",
+               "I->a:I", "Lx;->a:b:I", "Lx;->a:I extra"]),
+    "method": (["Ljava/lang/Object;-><init>()V", "[I->clone()Ljava/lang/Object;",
+                "Lx;->m(IJ[Lx;)[I", "I->m()V", "Lx;->a-b(Landroid/graphics/Bitmap;)I"],
+               ["Lx;->m(IL a;)V", "Lx;->m(I", "Lx;->m()Q", "Lx;->m([)V",
+                "Lx;->m(L;)V", "Lx;->m()", "Lx;m()V", "Lx;->m(I)V)V",
+                "Lx;->m(I)L#x;", "Lx;->m(I)V}"]),
+    "str": (['"abc"', '"a\\"b"', '"#x, y"', '""', '"a\\\\"', '"{v9}"'],
+            ['"unterminated', '"a" # c', '"\\"', "'a'", '"a"b"']),
+    "list": (["{v0, v1}", "{}", "{ }", "{p0}", "{v0 .. v3}", "{p0..p2}", "{v1 .. v1}"],
+             ["{v3 .. v0}", "{v0 .. p1}", "{v0,}", "{v0 v1}", "{pe}",
+              "{v0 .. v1 .. v2}", "{v0", "v0}", "{v0 .. }", "{,}", "{v٣}", "{v0}}"]),
+    "sep": ([", ", ",", " , ", "\t,  "], [",,", " ", ""]),
+    "tail": (["", " # c", "#c", "   ", " #,x", "\t# }"], [" extra", " ,"]),
+    "gap": ([" ", "\t", "  "], [" "]),
+}
+
+# Operand templates of each supported opcode family.
+_FAMILIES = [
+    (sorted(smali.CONST_INT_OPS), ["{reg}{sep}{lit}"]),
+    (sorted(smali.CONST_STRING_OPS), ["{reg}{sep}{str}"]),
+    (sorted(smali.CONST_CLASS_OPS | {"new-instance", "check-cast"}), ["{reg}{sep}{type}"]),
+    (sorted(smali.IPUT_OPS | smali.IGET_OPS), ["{reg}{sep}{reg2}{sep}{field}"]),
+    (sorted(smali.INVOKE_OPS | smali.INVOKE_RANGE_OPS), ["{list}{sep}{method}"]),
+    (sorted(smali.MOVE_OPS), ["{reg}{sep}{reg2}"]),
+    (sorted(smali.MOVE_RESULT_OPS | smali.RETURN_OPS), ["{reg}", ""]),
+]
+_ANY_TEMPLATE = sorted({t for _, templates in _FAMILIES for t in templates})
+
+
+@st.composite
+def instruction_lines(draw, max_odd=2):
+    """A supported instruction line, well formed or with up to ``max_odd``
+    parts taken from the odd pools."""
+    ops, templates = draw(st.sampled_from(_FAMILIES))
+    odd = set(draw(st.lists(st.sampled_from([*_POOLS, "reg2", "template"]),
+                            max_size=max_odd)))
+
+    def pick(slot):
+        good, bad = _POOLS["reg" if slot == "reg2" else slot]
+        return draw(st.sampled_from(bad if slot in odd else good))
+
+    template = draw(st.sampled_from(_ANY_TEMPLATE if "template" in odd else templates))
+    operands = template.format(**{slot: pick(slot) for slot in
+                                  ("reg", "reg2", "sep", "lit", "str", "type",
+                                   "field", "list", "method")})
+    indent = draw(st.sampled_from(["    ", "", "\t"]))
+    gap = pick("gap") if operands else ""
+    return f"{indent}{draw(st.sampled_from(ops))}{gap}{operands}{pick('tail')}"
+
+
+def _max_index(names):
+    out = {}
+    for name in names:
+        out[name[0]] = max(out.get(name[0], -1), int(name[1:]))
+    return out
+
+
+def _check_soundness(line):
+    """A line the fast check accepts parses, with the same highest register
+    index of each kind."""
+    stripped = line.strip()
+    fast = smali._fast_registers(stripped)
+    if fast is None:
+        return
+    ins = smali._parse_instruction(line, stripped, 0)   # must not raise
+    parsed = [r.name for r in smali._operand_registers(ins)]
+    assert _max_index(fast) == _max_index(parsed)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=instruction_lines())
+def test_fast_check_accepts_only_what_the_parser_accepts(line):
+    _check_soundness(line)
+
+
+def test_fast_check_with_each_odd_operand():
+    slots = ("reg", "reg2", "sep", "lit", "str", "type", "field", "list", "method")
+    for ops, templates in _FAMILIES:
+        for op in ops:
+            for template in templates:
+                for slot in slots:
+                    if "{" + slot + "}" not in template:
+                        continue
+                    pool = _POOLS["reg" if slot == "reg2" else slot]
+                    for value in pool[0] + pool[1]:
+                        operands = template.format(**{
+                            s: value if s == slot else
+                            _POOLS["reg" if s == "reg2" else s][0][0] for s in slots})
+                        for tail in _POOLS["tail"][0] + _POOLS["tail"][1]:
+                            _check_soundness(f"    {op} {operands}{tail}")
+
+
+def test_fast_check_accepts_well_formed_lines():
+    lines = ["const/16 p2, 0xb4", "const-wide v0, -0x1 # c", 'const-string v0, "a#b"',
+             "new-instance v0, Landroid/graphics/Matrix;",
+             "iput v0, p0, Lcom/demo/Holder;->zzd:I",
+             "invoke-direct {p0}, Ljava/lang/Object;-><init>()V",
+             "invoke-static/range {v0 .. v3}, Lx;->m(IJ[Lx;)[I",
+             "move-object/from16 v0, p1", "move-result v0", "return-void"]
+    for line in lines:
+        assert smali._fast_registers(line) is not None, line
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.lists(instruction_lines(max_odd=0) | st.sampled_from(
+           ["", "    :cond_0", "    .line 3", "    # note", "    nop",
+            "    .registers 2", "    .locals 1"]), max_size=8),
+       odd=st.none() | instruction_lines() | st.sampled_from(
+           ["    .locals x", ".method x", ".end method", "    .registers 1 2"]),
+       at=st.integers(0, 8),
+       frame=st.sampled_from(["    .registers 3", "    .locals 1", ""]),
+       static=st.booleans(), params=st.sampled_from(["", "I", "JI", "Landroid/graphics/Bitmap;"]))
+def test_parse_unit_agrees_with_eager_reference(body, odd, at, frame, static, params):
+    if odd is not None:
+        body.insert(at, odd)
+    flags = "public static" if static else "public"
+    text = "\n".join([".class public Lcom/demo/T;", ".super Ljava/lang/Object;", "",
+                      f".method {flags} m({params})V", frame, *body, ".end method",
+                      "", ".method public n()V", "    .registers 1",
+                      "    return-void", ".end method", ""])
+    want = _outcome(_reference_parse, text)
+    got = _outcome(_lazy_methods, text)
+    assert got == want
+    if got[0] == "ok":
+        assert smali.emit_unit(smali.parse_unit(text)) == text
+
+
+def test_syntax_error_later_in_method_beats_register_error():
+    text = WRAPPER.replace("move-result v0", "move-result v9").replace(
+        "const/16 p2, 0xb4", "const/16 p2, zz")
+    with pytest.raises(SmaliSyntaxError) as err:
+        smali.parse_unit(text)
+    assert "bad integer literal 'zz'" in str(err.value)
+    assert "zz" in text.split("\n")[err.value.line - 1]
+
+
+@pytest.mark.parametrize("first, later, reported", [
+    ("move-result v9", "const/16 p7, 0xb4", "v9"),
+    ("move-result v0", "const/16 p7, 0xb4", "p7"),
+    # A range is checked register by register: the frame holds v0..v3.
+    ("invoke-static/range {v0 .. v5}, Lx;->m(IIIIII)V", "const/16 p7, 0xb4", "v4"),
+])
+def test_first_out_of_range_register_is_reported(first, later, reported):
+    text = WRAPPER.replace("move-result v0", first).replace("const/16 p2, 0xb4", later)
+    with pytest.raises(SmaliSyntaxError, match=f"register {reported} out of range") as err:
+        smali.parse_unit(text)
+    line = text.split("\n")[err.value.line - 1]
+    assert line.strip() == first if reported != "p7" else line.strip() == later
+
+
+def test_instructions_are_built_on_first_read(monkeypatch):
+    calls = []
+    real = smali._parse_instruction
+    monkeypatch.setattr(smali, "_parse_instruction",
+                        lambda raw, s, i: calls.append(i) or real(raw, s, i))
+    unit = smali.parse_unit(WRAPPER)
+    assert calls == []
+    (ctor,) = unit.methods
+    first = ctor.instructions
+    assert ctor.instructions is first
+    assert sorted(calls) == [i.line_index for i in first
+                             if i.kind is not OpKind.DIRECTIVE]
