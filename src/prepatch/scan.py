@@ -145,12 +145,11 @@ def _load_archive(path: Path) -> AppFiles:
     return AppFiles(path.stem, path, entries, data, unsafe)
 
 
-def _tree_files(root: Path) -> List[str]:
-    """Relative paths of the files under ``root`` in tree order, as
-    ``sorted(root.rglob("*"))`` filtered by ``is_file()`` gives them:
-    symlinks to files count, symlinked directories are not entered, and an
-    unreadable directory is skipped."""
-    files: List[str] = []
+def _load_tree(root: Path) -> AppFiles:
+    # One walk, in the order and with the files of sorted(root.rglob("*"))
+    # filtered by is_file(): symlinks to files count, symlinked directories
+    # are not entered, and an unreadable directory is skipped.
+    entries: List[str] = []
     pending = [""]
     while pending:
         prefix = pending.pop()
@@ -160,15 +159,10 @@ def _tree_files(root: Path) -> List[str]:
                     if entry.is_dir(follow_symlinks=False):
                         pending.append(prefix + entry.name + "/")
                     elif entry.is_file():
-                        files.append(prefix + entry.name)
+                        entries.append(prefix + entry.name)
         except PermissionError:
-            continue
-    files.sort(key=tree_order)
-    return files
-
-
-def _load_tree(root: Path) -> AppFiles:
-    entries = _tree_files(root)
+            pass
+    entries.sort(key=tree_order)
     data = {}
     for rel in entries:
         if _is_read(rel):

@@ -543,8 +543,9 @@ _METHOD = (r"\[*(?:L[^;\s#,]+;|[ZBCSIJFD])->[^(\s#,]+"
            r"\((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*\)(?:V|" + _TYPE + ")")
 _LIST_REG_RE = re.compile(r"[vp][0-9]+")
 _REGS, _LIST, _RANGE = 0, 1, 2   # how a pattern's groups hold registers
-_CHECKS: dict[str, tuple[re.Pattern, int]] = {}
-for _ops, _pattern, _mode in (
+_CHECKS: dict[str, tuple[re.Pattern, int]] = {
+    op: (re.compile(pattern), mode)
+    for ops, pattern, mode in (
         (CONST_INT_OPS, rf"{_R}\s*,\s*-?(?:0[xX][0-9a-fA-F]+|[0-9]+){_TAIL}", _REGS),
         (CONST_STRING_OPS, rf'{_R}\s*,\s*"(?:[^"\\]|\\.)*"\s*', _REGS),
         (CONST_CLASS_OPS | {"new-instance", "check-cast"},
@@ -558,9 +559,8 @@ for _ops, _pattern, _mode in (
          rf"\{{\s*(?:{_R}\s*\.\.\s*{_R})?\s*\}}\s*,\s*{_METHOD}{_TAIL}", _RANGE),
         (MOVE_OPS, rf"{_R}\s*,\s*{_R}{_TAIL}", _REGS),
         (MOVE_RESULT_OPS | RETURN_OPS - {"return-void"}, rf"{_R}{_TAIL}", _REGS),
-        ({"return-void"}, _TAIL, _REGS)):
-    for _op in _ops:
-        _CHECKS[_op] = (re.compile(_pattern), _mode)
+        ({"return-void"}, _TAIL, _REGS))
+    for op in ops}
 
 
 def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
@@ -588,6 +588,14 @@ def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
     if first[0] != last[0] or int(last[1:]) < int(first[1:]):
         return None
     return first, last
+
+
+def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
+    total = _frame_size(method)
+    if total is None:
+        return False
+    slots = method.param_slots
+    return any(int(r[1:]) >= (total if r[0] == "v" else slots) for r in used)
 
 
 def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]:
@@ -626,14 +634,6 @@ def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]
                         _operand_registers(_parse_instruction(lines[i], s, i))]
             used.update(regs)
     raise SmaliSyntaxError(f"unterminated .method '{name}' (no .end method)", start + 1)
-
-
-def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
-    total = _frame_size(method)
-    if total is None:
-        return False
-    slots = method.param_slots
-    return any(int(r[1:]) >= (total if r[0] == "v" else slots) for r in used)
 
 
 def parse_unit(text: str) -> SmaliUnit:

@@ -238,7 +238,7 @@ def test_arbitrary_text_never_emits_differently(text):
 # every line of every method and checks registers at each ``.end method``.
 
 
-def _reference_registers(method_regs, total, slots, instructions):
+def _reference_registers(total, slots, instructions):
     for ins in instructions:
         regs = []
         for op in ins.operands:
@@ -265,7 +265,7 @@ def _reference_method(lines, start):
             total = registers if registers is not None else (
                 None if locals_count is None else locals_count + slots)
             if total is not None:
-                _reference_registers(None, total, slots, instructions)
+                _reference_registers(total, slots, instructions)
             return (name, params, ret, flags, registers, locals_count, start, i,
                     tuple(instructions)), i + 1
         if s.startswith(".method"):
@@ -289,7 +289,9 @@ def _reference_parse(text):
     class_name, methods, i = None, [], 0
     while i < len(lines):
         s = lines[i].strip()
-        if s.startswith(".class") and not s.startswith("#"):
+        if not s or s.startswith("#"):
+            pass
+        elif s.startswith(".class"):
             if class_name is not None:
                 raise SmaliSyntaxError("duplicate .class declaration", i + 1)
             toks = s.split()
