@@ -546,7 +546,9 @@ _REGS, _LIST, _RANGE = 0, 1, 2   # how a pattern's groups hold registers
 _CHECKS: dict[str, tuple[re.Pattern, int]] = {
     op: (re.compile(pattern), mode)
     for ops, pattern, mode in (
-        (CONST_INT_OPS, rf"{_R}\s*,\s*-?(?:0[xX][0-9a-fA-F]+|[0-9]+){_TAIL}", _REGS),
+        # Decimal without a leading zero: int(text, 0) rejects "02".
+        (CONST_INT_OPS, rf"{_R}\s*,\s*-?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*){_TAIL}",
+         _REGS),
         (CONST_STRING_OPS, rf'{_R}\s*,\s*"(?:[^"\\]|\\.)*"\s*', _REGS),
         (CONST_CLASS_OPS | {"new-instance", "check-cast"},
          rf"{_R}\s*,\s*{_TYPE}{_TAIL}", _REGS),

@@ -320,10 +320,12 @@ def _reference_parse(text):
 
 
 def _outcome(parse, text):
+    # ValueError too: int(text, 0) raises it for a literal such as "02"
+    # that the literal pattern lets through.
     try:
         return "ok", parse(text)
-    except SmaliSyntaxError as exc:
-        return "error", (str(exc), exc.line)
+    except ValueError as exc:
+        return "error", (type(exc), str(exc), getattr(exc, "line", None))
 
 
 def _lazy_methods(text):
@@ -337,8 +339,8 @@ def _lazy_methods(text):
 _POOLS = {
     "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10"],
             ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x"]),
-    "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff"],
-            ["xb4", "0x", "1e3", "+1", "--1", "١٢", "0xg", "- 1"]),
+    "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff", "00", "-0"],
+            ["xb4", "0x", "1e3", "+1", "--1", "١٢", "٠٢", "0xg", "- 1", "02", "-010"]),
     "type": (["I", "[B", "Landroid/graphics/Bitmap;", "Lx;", "[[Lx;"],
              ["L;", "Q", "[", "La/b c;", "La#b;", "La,b;", "V"]),
     "field": (["Lcom/demo/Holder;->zzd:I", "Lx;->a:[Lx;", "[Lx;->a:I", "Lx;->a-b:J"],
