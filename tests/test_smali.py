@@ -320,8 +320,8 @@ def _reference_parse(text):
 
 
 def _outcome(parse, text):
-    # ValueError too: int(text, 0) raises it for a literal such as "02"
-    # that the literal pattern lets through.
+    # ValueError too: parse_int_literal's int(text, 0) raises it for a
+    # literal such as "02", which _INT_RE lets through.
     try:
         return "ok", parse(text)
     except ValueError as exc:
