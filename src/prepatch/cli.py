@@ -5,6 +5,10 @@ finds pre-processing code, ``inject`` patches a tree, ``simulate`` measures
 perturbation effects on the toy pipeline, ``pipeline`` chains everything
 over a corpus, and ``report`` renders a saved JSON report.
 
+Every command reads an app once with ``scan.load_app`` and indexes its
+classes once, as ``pipeline`` does; ``locate`` writes nothing. ``inject``
+patches a tree in place, extracting an archive to ``--workdir`` first.
+
 Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 marker or
 staleness stopped it, 4 the repack hook failed. ``pipeline`` exits 2 when
 no app matched anywhere and 5 on internal errors.
@@ -84,7 +88,7 @@ def _spec_from_args(args: argparse.Namespace) -> Optional[PerturbationSpec]:
 def _load_config(args: argparse.Namespace) -> Config:
     config = Config.from_file(Path(args.config)) if args.config else Config()
     overrides = {}
-    for name in ("slice_depth", "workers", "image_count", "seed",
+    for name in ("slice_depth", "image_count", "seed",
                  "detection_threshold", "repack_command"):
         if hasattr(args, name):
             overrides[name] = getattr(args, name)
@@ -134,16 +138,32 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_app(path: Path) -> Optional[scan.AppFiles]:
+    """Read an app tree or archive into memory, reporting why it cannot be."""
+    if not (path.is_dir() or path.is_file()):
+        print(f"error: {path} does not exist", file=sys.stderr)
+        return None
+    try:
+        app = scan.load_app(path)
+        if app.unsafe_entry is not None:
+            raise scan.UnscannableApkError(path, f"unsafe entry {app.unsafe_entry!r}")
+    except scan.UnscannableApkError as exc:
+        print(f"error: cannot read {path}: {exc.reason}", file=sys.stderr)
+        return None
+    return app
+
+
 def _tree_for(path: Path, workdir: Optional[str]) -> Optional[Path]:
+    """The tree to patch: ``path`` itself, or an archive extracted to ``workdir``."""
     if path.is_dir():
         return path
-    if not path.is_file():
-        print(f"error: {path} does not exist", file=sys.stderr)
+    app = _read_app(path)
+    if app is None:
         return None
     base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="prepatch-"))
     base.mkdir(parents=True, exist_ok=True)
     try:
-        return pipeline.materialize(path, base)
+        return pipeline.materialize(path, base, app)
     except scan.UnscannableApkError as exc:
         print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
         return None
@@ -151,10 +171,10 @@ def _tree_for(path: Path, workdir: Optional[str]) -> Optional[Path]:
 
 def cmd_locate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    tree = _tree_for(Path(args.path), args.workdir)
-    if tree is None:
+    app = _read_app(Path(args.path))
+    if app is None:
         return EXIT_USAGE
-    analysis = locate.analyze_tree(tree, depth=config.slice_depth)
+    analysis = locate.analyze_files(app.data, app.name, depth=config.slice_depth)
     print(f"{analysis.root}: {analysis.units} classes, "
           f"{len(analysis.anchors)} anchors, {len(analysis.matches)} matches")
     for result in analysis.slices:
@@ -190,9 +210,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if tree is None:
         return EXIT_USAGE
 
-    analysis = locate.analyze_tree(tree, depth=config.slice_depth)
     try:
-        plan = inject.plan_injection(tree, spec, analysis.matches)
+        plan = inject.plan_injection(tree, spec)
     except inject.AlreadyInjectedError as exc:
         print(f"blocked: {exc}", file=sys.stderr)
         return EXIT_BLOCKED
@@ -282,8 +301,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     try:
         report = pipeline.run_pipeline(sources, workdir, spec=spec,
-                                       depth=config.slice_depth,
-                                       workers=config.workers)
+                                       depth=config.slice_depth)
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
@@ -356,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_locate = sub.add_parser("locate", help="find pre-processing code in one app")
     p_locate.add_argument("path", help="extracted tree or apk")
-    p_locate.add_argument("--workdir", help="extraction directory for archives")
     p_locate.add_argument("--slice-depth", type=int, dest="slice_depth")
     p_locate.add_argument("--config", metavar="FILE")
     p_locate.add_argument("--report", metavar="FILE")
@@ -371,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inject.add_argument("--repack", metavar="CMD",
                           help="repack command; {in} and {out} expand to paths")
     p_inject.add_argument("--repack-out", metavar="FILE")
-    p_inject.add_argument("--slice-depth", type=int, dest="slice_depth")
     p_inject.add_argument("--config", metavar="FILE")
     p_inject.add_argument("--report", metavar="FILE")
     p_inject.set_defaults(func=cmd_inject)
@@ -398,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where the trees of injected apps are written")
     _add_perturbation_args(p_pipe)
     p_pipe.add_argument("--slice-depth", type=int, dest="slice_depth")
-    p_pipe.add_argument("--workers", type=int, dest="workers",
-                        help="accepted for old scripts; has no effect, "
-                             "apps run one after another")
     p_pipe.add_argument("--config", metavar="FILE")
     p_pipe.add_argument("--report", metavar="FILE")
     p_pipe.set_defaults(func=cmd_pipeline)

@@ -16,7 +16,6 @@ class Config:
     detection_threshold: float = 0.8
     image_count: int = 100
     seed: int = 20240817
-    workers: int = 4              # no effect: the pipeline runs apps serially
     repack_command: Optional[str] = None
 
     @classmethod

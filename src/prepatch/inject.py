@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import locate, smali
+from . import locate, scan, smali
 from .locate import ConstructorMatch
 from .perturbation import PerturbationSpec
 
@@ -210,7 +210,7 @@ def _marked_file(index: locate.ClassIndex) -> Optional[str]:
     marked = [rel for rel, unit in index.by_path.items()
               if has_marker("\n".join(unit.lines))]
     marked += [rel for rel, text in index.unparsed.items() if has_marker(text)]
-    return min(marked, key=locate.tree_order, default=None)
+    return min(marked, key=scan.tree_order, default=None)
 
 
 def plan_injection(root: Path, spec: PerturbationSpec,

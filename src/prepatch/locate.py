@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from . import smali
+from . import scan, smali
 from .smali import Instruction, MethodRef, OpKind, Register, SmaliMethod, SmaliUnit
 
 STRATEGY_BUFFER = "S1_buffer"
@@ -227,11 +227,6 @@ def _decode_text(data: bytes) -> str:
     return text
 
 
-def tree_order(rel_path: str) -> List[str]:
-    """Sort key that orders relative paths as sorted ``Path`` objects do."""
-    return rel_path.split("/")
-
-
 class ClassIndex:
     """Descriptor -> parsed unit lookup over one app tree."""
 
@@ -260,8 +255,7 @@ class ClassIndex:
 
     @classmethod
     def from_tree(cls, root: Path) -> "ClassIndex":
-        return cls.from_files({file.relative_to(root).as_posix(): file.read_bytes()
-                               for file in root.rglob("*.smali")})
+        return cls.from_files(scan.load_app(root).data)
 
     @classmethod
     def from_files(cls, files: Dict[str, Union[str, bytes]]) -> "ClassIndex":
@@ -273,7 +267,7 @@ class ClassIndex:
         ``issues``.
         """
         index = cls()
-        for rel in sorted(files, key=tree_order):
+        for rel in sorted(files, key=scan.tree_order):
             if not rel.endswith(".smali"):
                 continue
             text = files[rel]

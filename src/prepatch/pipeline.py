@@ -196,8 +196,9 @@ def run_pipeline(sources: Sequence[Path], workdir: Path,
 
     Work-tree names are handed out in that order, so when two sources map
     to one name (``app.apk`` and ``app/``) the first keeps it. ``workers``
-    is accepted for old callers and configs and has no effect: the work is
-    bound by the GIL, and a thread or process pool ran slower than a loop.
+    has no effect; it stays only because the benchmark harness in
+    ``perfbench/workloads.py`` still passes it. The work is bound by the
+    GIL, and a thread or process pool ran slower than a loop.
     """
     workdir.mkdir(parents=True, exist_ok=True)
     owners: Dict[str, Path] = {}

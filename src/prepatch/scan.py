@@ -20,8 +20,6 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .locate import tree_order
-
 MODEL_SUFFIXES = (".tflite", ".tfl", ".lite")
 
 TFLITE_API_PREFIX = b"Lorg/tensorflow/lite/"
@@ -107,6 +105,11 @@ def extract_services(manifest_text: str) -> Tuple[bool, Tuple[str, ...]]:
     return True, tuple(sorted(found))
 
 
+def tree_order(rel_path: str) -> List[str]:
+    """Sort key that orders relative paths as sorted ``Path`` objects do."""
+    return rel_path.split("/")
+
+
 def _is_unsafe(name: str) -> bool:
     """True if an archive entry would land outside its extraction directory."""
     return name.startswith(("/", "\\")) or ".." in Path(name).parts
@@ -146,9 +149,9 @@ def _load_archive(path: Path) -> AppFiles:
 
 
 def _load_tree(root: Path) -> AppFiles:
-    # One walk, in the order and with the files of sorted(root.rglob("*"))
-    # filtered by is_file(): symlinks to files count, symlinked directories
-    # are not entered, and an unreadable directory is skipped.
+    # One walk, listing the files a sorted recursive Path glob filtered by
+    # is_file() lists, in its order: symlinks to files count, symlinked
+    # directories are not entered, and an unreadable directory is skipped.
     entries: List[str] = []
     pending = [""]
     while pending:
@@ -225,18 +228,6 @@ def unscannable(path: Path, reason: str) -> DlVerdict:
     """The verdict of an app that could not be read."""
     return DlVerdict(app=path.stem if path.is_file() else path.name,
                      path=str(path), is_dl=False, error=reason)
-
-
-def scan_apk(path: Path) -> DlVerdict:
-    """Scan a packed app archive. Raises UnscannableApkError on bad zips."""
-    return classify(_load_archive(path))
-
-
-def scan_tree(root: Path) -> DlVerdict:
-    """Scan an extracted app directory."""
-    if not root.is_dir():
-        raise UnscannableApkError(root, "not a directory")
-    return classify(_load_tree(root))
 
 
 def scan_path(path: Path) -> DlVerdict:

@@ -84,7 +84,9 @@ MOVE_RESULT_OPS = {"move-result", "move-result-object", "move-result-wide"}
 RETURN_OPS = {"return-void", "return", "return-object", "return-wide"}
 
 _REG_RE = re.compile(r"^[vp]\d+$")
-_INT_RE = re.compile(r"^-?(?:0[xX][0-9a-fA-F]+|\d+)$")
+# ASCII hex, or decimal without a leading zero: int(text, 0) rejects "02".
+_INT = r"-?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*)"
+_INT_RE = re.compile(rf"^{_INT}$")
 _TYPE_RE = re.compile(r"^\[*(?:[ZBCSIJFD]|L[^;\s]+;)$")
 _FIELD_REF_RE = re.compile(r"^(\[*L[^;\s]+;)->([^:\s]+):(\S+)$")
 _METHOD_REF_RE = re.compile(r"^(\[*(?:L[^;\s]+;|[ZBCSIJFD]))->([^(\s]+)\(([^)]*)\)(\S+)$")
@@ -546,9 +548,7 @@ _REGS, _LIST, _RANGE = 0, 1, 2   # how a pattern's groups hold registers
 _CHECKS: dict[str, tuple[re.Pattern, int]] = {
     op: (re.compile(pattern), mode)
     for ops, pattern, mode in (
-        # Decimal without a leading zero: int(text, 0) rejects "02".
-        (CONST_INT_OPS, rf"{_R}\s*,\s*-?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*){_TAIL}",
-         _REGS),
+        (CONST_INT_OPS, rf"{_R}\s*,\s*{_INT}{_TAIL}", _REGS),
         (CONST_STRING_OPS, rf'{_R}\s*,\s*"(?:[^"\\]|\\.)*"\s*', _REGS),
         (CONST_CLASS_OPS | {"new-instance", "check-cast"},
          rf"{_R}\s*,\s*{_TYPE}{_TAIL}", _REGS),

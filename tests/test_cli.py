@@ -1,10 +1,11 @@
 import json
 import random
+import tempfile
 import zipfile
 
 import pytest
 
-from prepatch import cli, inject, synth
+from prepatch import cli, inject, smali, synth
 
 
 def run(args, capsys):
@@ -64,12 +65,11 @@ def test_locate_tree(tmp_path, capsys):
     assert "createScaledBitmap" in out
 
 
-def test_locate_apk_with_workdir(tmp_path, capsys):
+def test_locate_apk(tmp_path, capsys):
     files, _ = synth.build_app_files("s1", 0, random.Random(4))
     apk = tmp_path / "packed.apk"
     apk.write_bytes(synth.zip_app(files))
-    code, out, _ = run(["locate", str(apk), "--workdir", str(tmp_path / "w")],
-                       capsys)
+    code, out, _ = run(["locate", str(apk)], capsys)
     assert code == 0
     assert "S1_buffer" in out
 
@@ -78,6 +78,41 @@ def test_locate_missing_path(tmp_path, capsys):
     code, _, err = run(["locate", str(tmp_path / "gone")], capsys)
     assert code == cli.EXIT_USAGE
     assert "does not exist" in err
+
+
+def test_locate_apk_writes_nothing(tmp_path, capsys, monkeypatch):
+    files, _ = synth.build_app_files("s1", 0, random.Random(4))
+    apk = tmp_path / "x.apk"
+    apk.write_bytes(synth.zip_app(files))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    code, out, _ = run(["locate", str(apk)], capsys)
+    assert code == 0 and "S1_buffer" in out
+    assert list(temp.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["temp", "x.apk"]
+
+
+def test_locate_refuses_unreadable_archives(tmp_path, capsys):
+    broken = tmp_path / "broken.apk"
+    broken.write_bytes(synth.corrupt_apk_bytes(random.Random(4)))
+    code, _, err = run(["locate", str(broken)], capsys)
+    assert code == cli.EXIT_USAGE and "cannot read" in err
+
+    files, _ = synth.build_app_files("s1", 0, random.Random(4))
+    evil = tmp_path / "evil.apk"
+    evil.write_bytes(synth.zip_app({**files, "../escape.txt": "x"}))
+    code, _, err = run(["locate", str(evil)], capsys)
+    assert code == cli.EXIT_USAGE and "unsafe entry" in err
+
+
+def test_locate_and_inject_skip_a_directory_named_like_smali(tree, capsys):
+    (tree / "smali" / "odd.smali").mkdir()
+    code, out, _ = run(["locate", str(tree)], capsys)
+    assert code == 0 and "1 matches" in out
+    code, out, _ = run(["inject", str(tree), "--rotation-delta", "90",
+                        "--dry-run"], capsys)
+    assert code == 0 and "+    const/16 p2, 0x10e" in out
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +141,20 @@ def test_inject_dry_run_then_apply(tree, capsys):
     code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == cli.EXIT_BLOCKED
     assert "marker" in err
+
+
+def test_inject_parses_each_class_once(tree, capsys, monkeypatch):
+    calls = []
+    real_parse = smali.parse_unit
+
+    def counting_parse(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(smali, "parse_unit", counting_parse)
+    code, _, _ = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
+    assert code == 0
+    assert len(calls) == len(list(tree.rglob("*.smali")))
 
 
 def test_inject_no_matches_exit_code(tmp_path, capsys):
@@ -246,6 +295,41 @@ def test_pipeline_no_matches_exit_code(tmp_path, capsys):
     assert "matched=0" in out
 
 
+def test_pipeline_bad_literal_fails_only_its_app(tmp_path, capsys):
+    bad_class = "\n".join([
+        ".class public Lcom/odd/Literal;", ".super Ljava/lang/Object;", "",
+        ".method public static m()I", "    .registers 1", "    const/4 v0, 02",
+        "    return v0", ".end method", ""])
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    for corpus_dir in (alone, both):
+        corpus_dir.mkdir()
+        files, _ = synth.build_app_files("s2", 2, random.Random(5))
+        (corpus_dir / "good.apk").write_bytes(synth.zip_app(files))
+    files, _ = synth.build_app_files("s1", 0, random.Random(4))
+    bad = both / "bad.apk"
+    bad.write_bytes(synth.zip_app({**files, "smali/com/odd/Literal.smali": bad_class}))
+
+    outcomes = {}
+    for corpus_dir in (alone, both):
+        report = tmp_path / f"{corpus_dir.name}.json"
+        code, _, _ = run(["pipeline", str(corpus_dir),
+                          "--workdir", str(tmp_path / f"{corpus_dir.name}.work"),
+                          "--rotation-delta", "90", "--report", str(report)],
+                         capsys)
+        assert code == 0
+        outcomes[corpus_dir.name] = {o["app"]: o for o in
+                                     json.loads(report.read_text())["outcomes"]}
+    assert outcomes["both"]["good"] == outcomes["alone"]["good"]
+    assert outcomes["both"]["good"]["injected"]
+
+    report = tmp_path / "locate.json"
+    code, _, _ = run(["locate", str(bad), "--report", str(report)], capsys)
+    assert code == 0
+    issues = json.loads(report.read_text())["issues"]
+    assert [i["unit"] for i in issues] == ["smali/com/odd/Literal.smali"]
+    assert "bad integer literal '02'" in issues[0]["error"]
+
+
 def test_pipeline_rejects_missing_corpus(tmp_path, capsys):
     code, _, err = run(["pipeline", str(tmp_path / "nope")], capsys)
     assert code == cli.EXIT_USAGE
@@ -280,8 +364,20 @@ def test_config_file_overrides(tmp_path):
     config_path.write_text(json.dumps({"slice_depth": 0, "image_count": 5}))
     loaded = Config.from_file(config_path)
     assert loaded.slice_depth == 0 and loaded.image_count == 5
-    merged = loaded.merged(slice_depth=2, workers=None)
-    assert merged.slice_depth == 2 and merged.workers == loaded.workers
+    merged = loaded.merged(slice_depth=2, image_count=None)
+    assert merged.slice_depth == 2 and merged.image_count == loaded.image_count
+
+
+@pytest.mark.parametrize("argv", [
+    ["locate", "app.apk", "--workdir", "w"],
+    ["inject", "tree", "--rotation-delta", "90", "--slice-depth", "2"],
+    ["pipeline", "corpus", "--workers", "2"],
+])
+def test_removed_options_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -289,6 +385,10 @@ def test_config_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"slice_depht": 1}))
     with pytest.raises(ValueError, match="slice_depht"):
+        Config.from_file(bad)
+    # "workers" was a key once; it set nothing and is now unknown too.
+    bad.write_text(json.dumps({"workers": 4}))
+    with pytest.raises(ValueError, match="workers"):
         Config.from_file(bad)
 
 

@@ -59,7 +59,6 @@ def test_pipeline_report_matches_golden(golden_corpus, tmp_path, capsys,
 def test_locate_report_matches_golden(golden_corpus, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert cli.main(["locate", str(golden_corpus / "app02_s2.apk"),
-                     "--workdir", str(tmp_path / "trees"),
                      "--report", str(report)]) == cli.EXIT_OK
     capsys.readouterr()
     assert report.read_bytes() == \

@@ -87,7 +87,7 @@ def test_scan_zip_app_with_model(tmp_path):
     files, truth = synth.build_app_files("s2", 2, random.Random(1))
     apk = tmp_path / "demo.apk"
     apk.write_bytes(synth.zip_app(files))
-    verdict = scan.scan_apk(apk)
+    verdict = scan.scan_path(apk)
     assert verdict.is_dl
     assert verdict.evidence == ("model_file", "mlkit_api", "mlkit_manifest")
     assert verdict.model_files == ("assets/Detector.TFLITE",)
@@ -102,7 +102,7 @@ def test_scan_app_identified_by_api_refs_only(tmp_path):
     assert not any(scan.is_model_file(p) for p in files)
     apk = tmp_path / "noweights.apk"
     apk.write_bytes(synth.zip_app(files))
-    verdict = scan.scan_apk(apk)
+    verdict = scan.scan_path(apk)
     assert verdict.is_dl
     assert "mlkit_api" in verdict.evidence
     assert "model_file" not in verdict.evidence
@@ -112,7 +112,7 @@ def test_scan_non_dl_app(tmp_path):
     files, _ = synth.build_app_files("nondl", 15, random.Random(2))
     apk = tmp_path / "plain.apk"
     apk.write_bytes(synth.zip_app(files))
-    verdict = scan.scan_apk(apk)
+    verdict = scan.scan_path(apk)
     assert not verdict.is_dl
     assert verdict.evidence == ()
     assert verdict.manifest_valid
@@ -124,8 +124,8 @@ def test_scan_tree_matches_scan_apk(tmp_path):
     apk.write_bytes(synth.zip_app(files))
     tree = tmp_path / "one"
     synth.write_tree(files, tree)
-    from_zip = scan.scan_apk(apk)
-    from_tree = scan.scan_tree(tree)
+    from_zip = scan.scan_path(apk)
+    from_tree = scan.scan_path(tree)
     assert from_zip.evidence == from_tree.evidence
     assert from_zip.model_files == from_tree.model_files
     assert from_zip.services == from_tree.services
@@ -169,7 +169,7 @@ def test_unscannable_archive(tmp_path):
     bad = tmp_path / "broken.apk"
     bad.write_bytes(synth.corrupt_apk_bytes(random.Random(4)))
     with pytest.raises(scan.UnscannableApkError):
-        scan.scan_apk(bad)
+        scan.classify(scan.load_app(bad))
     verdict = scan.scan_path(bad)
     assert verdict.error is not None and not verdict.is_dl
 
@@ -190,7 +190,7 @@ def test_invalid_manifest_still_scannable(tmp_path):
     files["AndroidManifest.xml"] = "<manifest><broken"
     apk = tmp_path / "badmanifest.apk"
     apk.write_bytes(synth.zip_app(files))
-    verdict = scan.scan_apk(apk)
+    verdict = scan.scan_path(apk)
     assert verdict.is_dl              # model file and API refs still count
     assert not verdict.manifest_valid
     assert verdict.services == ()

@@ -320,11 +320,11 @@ def _reference_parse(text):
 
 
 def _outcome(parse, text):
-    # ValueError too: parse_int_literal's int(text, 0) raises it for a
-    # literal such as "02", which _INT_RE lets through.
+    # Only SmaliSyntaxError: any other exception, such as a ValueError from
+    # int() on a literal like "02", is a parser fault and fails the test.
     try:
         return "ok", parse(text)
-    except ValueError as exc:
+    except SmaliSyntaxError as exc:
         return "error", (type(exc), str(exc), getattr(exc, "line", None))
 
 
@@ -470,6 +470,12 @@ def test_parse_unit_agrees_with_eager_reference(body, odd, at, frame, static, pa
     assert got == want
     if got[0] == "ok":
         assert smali.emit_unit(smali.parse_unit(text)) == text
+
+
+@pytest.mark.parametrize("text", ["02", "-010", "00x1", "١٢", "0x", "+1"])
+def test_bad_int_literal_is_a_syntax_error(text):
+    with pytest.raises(SmaliSyntaxError, match="bad integer literal"):
+        smali.parse_int_literal(text, 3)
 
 
 def test_syntax_error_later_in_method_beats_register_error():
