@@ -7,7 +7,8 @@ over a corpus, and ``report`` renders a saved JSON report.
 
 Every command reads an app once with ``scan.load_app`` and indexes its
 classes once, as ``pipeline`` does; ``locate`` writes nothing. ``inject``
-patches a tree in place, extracting an archive to ``--workdir`` first.
+patches a tree in place, extracting an archive to ``--workdir`` first; a
+dry run on an archive extracts nothing.
 
 Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 marker or
 staleness stopped it, 4 the repack hook failed. ``pipeline`` exits 2 when
@@ -206,12 +207,22 @@ def cmd_inject(args: argparse.Namespace) -> int:
         print("error: no perturbation requested "
               "(use --rotation-delta, --width, ...)", file=sys.stderr)
         return EXIT_USAGE
-    tree = _tree_for(Path(args.tree), args.workdir)
-    if tree is None:
-        return EXIT_USAGE
+    path = Path(args.tree)
+    tree = index = None
+    if args.dry_run and not path.is_dir():
+        # A dry run on an archive plans from the loaded app, writing nothing.
+        app = _read_app(path)
+        if app is None:
+            return EXIT_USAGE
+        index = locate.ClassIndex.from_files(app.data)
+    else:
+        tree = _tree_for(path, args.workdir)
+        if tree is None:
+            return EXIT_USAGE
 
     try:
-        plan = inject.plan_injection(tree, spec)
+        plan = (inject.plan_injection(tree, spec) if tree is not None
+                else inject.plan_index(app.name, spec, index))
     except inject.AlreadyInjectedError as exc:
         print(f"blocked: {exc}", file=sys.stderr)
         return EXIT_BLOCKED
@@ -224,7 +235,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     if args.dry_run:
-        sys.stdout.write(inject.render_diff(tree, plan))
+        sys.stdout.write(inject.render_diff(tree, plan) if tree is not None
+                         else inject.render_index_diff(index, plan))
         sys.stdout.write("\n")
         _write_report(args.report, plan.to_dict())
         return EXIT_OK
@@ -381,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inject = sub.add_parser("inject", help="patch pre-processing values in a tree")
     p_inject.add_argument("tree", help="extracted tree (or apk with --workdir)")
-    p_inject.add_argument("--workdir", help="extraction directory for archives")
+    p_inject.add_argument("--workdir",
+                          help="extraction directory for archives "
+                               "(unused with --dry-run)")
     _add_perturbation_args(p_inject)
     p_inject.add_argument("--dry-run", action="store_true",
                           help="print the diff without writing")

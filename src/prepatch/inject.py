@@ -213,21 +213,15 @@ def _marked_file(index: locate.ClassIndex) -> Optional[str]:
     return min(marked, key=scan.tree_order, default=None)
 
 
-def plan_injection(root: Path, spec: PerturbationSpec,
-                   matches: Optional[Sequence[ConstructorMatch]] = None,
-                   index: Optional[locate.ClassIndex] = None) -> InjectionPlan:
-    """Build a patch plan for one tree. Raises AlreadyInjectedError if any
-    smali file carries the marker from a previous run; a patched wrapper no
-    longer matches its strategy, so the marker is the only reliable guard.
-
-    ``index`` is the tree's class index when the caller already has one;
-    without it the tree is indexed once here. Lines come from the index, so
-    planning reads nothing else."""
+def plan_index(name: str, spec: PerturbationSpec, index: locate.ClassIndex,
+               matches: Optional[Sequence[ConstructorMatch]] = None
+               ) -> InjectionPlan:
+    """Build a patch plan for the app ``name`` from its class index, reading
+    nothing. Raises AlreadyInjectedError if any smali file carries the
+    marker from a previous run; a patched wrapper no longer matches its
+    strategy, so the marker is the only reliable guard."""
     if spec.is_noop:
         raise ValueError("perturbation spec is a no-op; nothing to plan")
-    recover(root)
-    if index is None:
-        index = locate.ClassIndex.from_tree(root)
     marked = _marked_file(index)
     if marked is not None:
         raise AlreadyInjectedError(f"{marked} already carries {MARKER_FIELD!r}")
@@ -236,13 +230,28 @@ def plan_injection(root: Path, spec: PerturbationSpec,
         for rel in index.owned_paths():
             matches.extend(locate.match_constructors(index.by_path[rel], rel))
 
-    plan = InjectionPlan(root=root.name, spec=spec, matches=list(matches))
+    plan = InjectionPlan(root=name, spec=spec, matches=list(matches))
     for match in matches:
         _plan_match(index, match, spec, plan)
 
     # Apply patches bottom-up within each file so indexes stay valid.
     plan.patches.sort(key=lambda p: (p.unit_path, -p.line_index))
     return plan
+
+
+def plan_injection(root: Path, spec: PerturbationSpec,
+                   matches: Optional[Sequence[ConstructorMatch]] = None,
+                   index: Optional[locate.ClassIndex] = None) -> InjectionPlan:
+    """Build a patch plan for one tree, after recovering it (see
+    ``plan_index``).
+
+    ``index`` is the tree's class index when the caller already has one;
+    without it the tree is indexed once here. Lines come from the index, so
+    planning reads nothing else."""
+    recover(root)
+    if index is None:
+        index = locate.ClassIndex.from_tree(root)
+    return plan_index(root.name, spec, index, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +305,7 @@ def _read_touched(root: Path, plan: InjectionPlan) -> Dict[str, List[str]]:
     return {rel: _read_lines(root, rel) for rel in _by_file(plan)}
 
 
-def _edit(current: Dict[str, List[str]], plan: InjectionPlan
+def _edit(current: Dict[str, Sequence[str]], plan: InjectionPlan
           ) -> Tuple[Dict[str, List[str]], str]:
     """Patched lines of every touched file, and the unified diff."""
     edited, chunks = {}, []
@@ -309,6 +318,12 @@ def _edit(current: Dict[str, List[str]], plan: InjectionPlan
 def render_diff(root: Path, plan: InjectionPlan) -> str:
     """Unified diff of the plan against the current tree, without writing."""
     return _edit(_read_touched(root, plan), plan)[1]
+
+
+def render_index_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
+    """Unified diff of the plan against the indexed lines, without writing."""
+    return _edit({rel: index.by_path[rel].lines for rel in _by_file(plan)},
+                 plan)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ Strategy constants, in precedence order:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -267,19 +268,27 @@ class ClassIndex:
         ``issues``.
         """
         index = cls()
-        for rel in sorted(files, key=scan.tree_order):
-            if not rel.endswith(".smali"):
-                continue
-            text = files[rel]
-            try:
-                if isinstance(text, bytes):
-                    text = _decode_text(text)
-                index.add(rel, smali.parse_unit(text))
-            except UnicodeDecodeError as exc:
-                index.issues.append((rel, str(exc)))
-            except smali.SmaliSyntaxError as exc:
-                index.issues.append((rel, str(exc)))
-                index.unparsed[rel] = text
+        # Parsed units hold no reference cycles, so a collection during
+        # indexing would only walk them again and free nothing.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for rel in sorted(files, key=scan.tree_order):
+                if not rel.endswith(".smali"):
+                    continue
+                text = files[rel]
+                try:
+                    if isinstance(text, bytes):
+                        text = _decode_text(text)
+                    index.add(rel, smali.parse_unit(text))
+                except UnicodeDecodeError as exc:
+                    index.issues.append((rel, str(exc)))
+                except smali.SmaliSyntaxError as exc:
+                    index.issues.append((rel, str(exc)))
+                    index.unparsed[rel] = text
+        finally:
+            if was_enabled:
+                gc.enable()
         return index
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 import shutil
 import zipfile
 from dataclasses import dataclass, field
@@ -95,12 +96,23 @@ def tree_name(source: Path) -> str:
     return source.stem if source.is_file() else source.name
 
 
+def _write_file(path: str, data: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, memoryview(data)[written:])
+    finally:
+        os.close(fd)
+
+
 def materialize(source: Path, workdir: Path,
                 app: Optional[scan.AppFiles] = None) -> Path:
     """Write an app as a tree in the working directory.
 
     Read entries (smali and manifest) come from ``app``, loaded from
-    ``source`` when not given; every other entry is copied from the source.
+    ``source`` when not given; every other entry is copied from the source,
+    and the archive is opened again only when it has such entries.
     """
     if app is None:
         app = scan.load_app(source)
@@ -110,29 +122,31 @@ def materialize(source: Path, workdir: Path,
     if tree.exists():
         shutil.rmtree(tree)
     tree.mkdir(parents=True)
-    made = {tree}
-
-    def target(rel: str) -> Path:
-        path = tree / rel
-        if path.parent not in made:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            made.add(path.parent)
-        return path
-
+    # Entry names are relative paths (an archive name that is not was
+    # refused above), so plain strings name the files joined Paths would.
+    root = str(tree)
+    from_tree = source.is_dir()
+    made = {root}
+    unread = bool(app.dirs)
     try:
-        if source.is_dir():
-            for rel in app.entries:
-                if rel in app.data:
-                    target(rel).write_bytes(app.data[rel])
-                else:
-                    shutil.copyfile(source / rel, target(rel))
-        else:
+        for rel in app.entries:
+            path = f"{root}/{rel}"
+            folder = path[:path.rindex("/")]
+            if folder not in made:
+                os.makedirs(folder, exist_ok=True)
+                made.add(folder)
+            data = app.data.get(rel)
+            if data is not None:
+                _write_file(path, data)
+            elif from_tree:
+                shutil.copyfile(f"{source}/{rel}", path)
+            else:
+                unread = True
+        if unread and not from_tree:
             with zipfile.ZipFile(source) as zf:
                 for info in zf.infolist():
-                    if info.filename in app.data:
-                        target(info.filename).write_bytes(app.data[info.filename])
-                    else:
-                        zf.extract(info, tree)
+                    if info.filename not in app.data:
+                        zf.extract(info, root)
     except (zipfile.BadZipFile, OSError) as exc:
         shutil.rmtree(tree, ignore_errors=True)
         raise scan.UnscannableApkError(source, str(exc)) from exc

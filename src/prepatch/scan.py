@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 import zipfile
 import zlib
 import xml.etree.ElementTree as ET
@@ -127,25 +128,106 @@ class AppFiles:
     ``entries`` names every file of the archive (in archive order) or tree
     (sorted); ``data`` holds the raw bytes of the read entries only, so model
     files and other assets stay on disk. ``unsafe_entry`` is the first
-    archive entry that would escape an extraction directory, if any.
+    archive entry that would escape an extraction directory, if any, and
+    ``dirs`` names the archive's directory entries.
     """
     name: str
     source: Path
     entries: Tuple[str, ...]
     data: Dict[str, bytes]
     unsafe_entry: Optional[str] = None
+    dirs: Tuple[str, ...] = ()
+
+
+# Flag bits a member may carry and still be read directly: 0x800 (UTF-8
+# name) and 0x008 (sizes and CRC in a data descriptor, also in the
+# central directory).
+_DIRECT_FLAGS = 0x800 | 0x008
+_DIRECT_METHODS = (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+
+
+def _read_direct(fh, info: zipfile.ZipInfo) -> Optional[bytes]:
+    """A member's bytes read from the open archive file, or None when any
+    check fails and ``ZipFile.read`` must decide.
+
+    Inflation stops one byte past the declared size, so a member that lies
+    about its size cannot inflate past it (Fifield, "A better zip bomb",
+    WOOT 2019)."""
+    fh.seek(info.header_offset)
+    header = fh.read(zipfile.sizeFileHeader)
+    if len(header) != zipfile.sizeFileHeader:
+        return None
+    fields = struct.unpack(zipfile.structFileHeader, header)
+    magic, flags, name_length, extra_length = fields[0], fields[3], fields[10], fields[11]
+    if magic != zipfile.stringFileHeader:
+        return None
+    try:
+        name = fh.read(name_length).decode("utf-8" if flags & 0x800 else "cp437")
+    except UnicodeDecodeError:
+        return None
+    if name != info.orig_filename:
+        return None
+    fh.seek(extra_length, os.SEEK_CUR)
+    # Newer zipfile versions refuse data that runs into the next member.
+    end = getattr(info, "_end_offset", None)
+    if end is not None and fh.tell() + info.compress_size > end:
+        return None
+    raw = fh.read(info.compress_size)
+    if len(raw) != info.compress_size:
+        return None
+    if info.compress_type == zipfile.ZIP_STORED:
+        data = raw
+    else:
+        try:
+            data = zlib.decompressobj(-15).decompress(raw, info.file_size + 1)
+        except zlib.error:
+            return None
+    if len(data) != info.file_size or zlib.crc32(data) != info.CRC:
+        return None
+    return data
+
+
+def _read_member(fh, zf: zipfile.ZipFile, name: str) -> bytes:
+    """A member's bytes, read directly when it is a plain stored or deflated
+    member and otherwise by ``zf.read``, with its result or error."""
+    info = zf.getinfo(name)
+    if not info.flag_bits & ~_DIRECT_FLAGS and info.compress_type in _DIRECT_METHODS:
+        data = _read_direct(fh, info)
+        if data is not None:
+            return data
+    return zf.read(name)
 
 
 def _load_archive(path: Path) -> AppFiles:
     try:
-        with zipfile.ZipFile(path) as zf:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
             names = zf.namelist()
             entries = tuple(name for name in names if not name.endswith("/"))
-            data = {name: zf.read(name) for name in entries if _is_read(name)}
+            data = {}
+            for name in entries:
+                if _is_read(name) and name not in data:
+                    data[name] = _read_member(fh, zf, name)
     except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error) as exc:
         raise UnscannableApkError(path, str(exc)) from exc
     unsafe = next((name for name in names if _is_unsafe(name)), None)
-    return AppFiles(path.stem, path, entries, data, unsafe)
+    dirs = tuple(name for name in names if name.endswith("/"))
+    return AppFiles(path.stem, path, entries, data, unsafe, dirs)
+
+
+def _read_file(path: str) -> bytes:
+    """A whole file, read with one ``os.read`` of its size unless it grew."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) > size:
+            chunks = [data]
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    return data
 
 
 def _load_tree(root: Path) -> AppFiles:
@@ -166,11 +248,7 @@ def _load_tree(root: Path) -> AppFiles:
         except PermissionError:
             pass
     entries.sort(key=tree_order)
-    data = {}
-    for rel in entries:
-        if _is_read(rel):
-            with open(os.path.join(root, rel), "rb") as fh:
-                data[rel] = fh.read()
+    data = {rel: _read_file(f"{root}/{rel}") for rel in entries if _is_read(rel)}
     return AppFiles(root.name, root, tuple(entries), data)
 
 

@@ -623,7 +623,7 @@ def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]
                 raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
             if s.startswith(".registers") or s.startswith(".locals"):
                 toks = s.split()
-                if len(toks) != 2 or not toks[1].isdigit():
+                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                     raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
                 if toks[0] == ".registers":
                     registers = int(toks[1])

@@ -143,6 +143,27 @@ def test_inject_dry_run_then_apply(tree, capsys):
     assert "marker" in err
 
 
+def test_inject_dry_run_on_archive_writes_nothing(corpus, tmp_path, capsys,
+                                                  monkeypatch):
+    apk = corpus[0] / "app02_s2.apk"
+    tree = tmp_path / "app02_s2"
+    with zipfile.ZipFile(apk) as zf:
+        zf.extractall(tree)
+    flags = ["--rotation-delta", "90", "--width", "320", "--dry-run"]
+    code, want, _ = run(["inject", str(tree), *flags,
+                         "--report", str(tmp_path / "want.json")], capsys)
+    assert code == 0 and "+    const/16 p2, 0x10e" in want
+
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    code, got, _ = run(["inject", str(apk), *flags,
+                        "--report", str(tmp_path / "got.json")], capsys)
+    assert code == 0 and got == want
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert list(temp.iterdir()) == []
+
+
 def test_inject_parses_each_class_once(tree, capsys, monkeypatch):
     calls = []
     real_parse = smali.parse_unit

@@ -1,6 +1,11 @@
+import os
 import random
+import warnings
+import zipfile
 
-from prepatch import pipeline, synth
+import pytest
+
+from prepatch import pipeline, scan, synth
 from prepatch.perturbation import PerturbationSpec
 
 
@@ -77,3 +82,89 @@ def test_materialize_keeps_every_entry_byte_equal(tmp_path):
     copied = pipeline.materialize(tree, tmp_path / "again")
     assert {p.relative_to(copied).as_posix(): p.read_bytes()
             for p in copied.rglob("*") if p.is_file()} == want
+
+
+def _snapshot(root):
+    """Every directory and file under ``root``: relative name -> bytes, or
+    None for a directory."""
+    found = {}
+    for folder, dirs, files in os.walk(root):
+        rel = os.path.relpath(folder, root)
+        for name in dirs:
+            found[os.path.normpath(os.path.join(rel, name))] = None
+        for name in files:
+            path = os.path.join(folder, name)
+            assert not os.path.islink(path)
+            with open(path, "rb") as fh:
+                found[os.path.normpath(os.path.join(rel, name))] = fh.read()
+    return found
+
+
+@pytest.mark.parametrize("read_only, extra", [
+    # an empty directory entry, duplicated members, an unread asset and
+    # nested folders
+    (False, [("empty/", b""), ("assets/dup.bin", b"first"),
+             ("assets/dup.bin", b"second"),
+             ("smali/com/x/y/Dup.smali", b".class LDup;\n"),
+             ("smali/com/x/y/Dup.smali", b".class LDup;\n# second\n"),
+             ("assets/deep/er/model.tflite", b"\x00\x01")]),
+    # directory entries are the only members that are not read
+    (True, [("empty/", b""), ("smali/com/x/", b"")]),
+])
+def test_materialize_matches_extractall(tmp_path, read_only, extra):
+    files, _ = synth.build_app_files("s1", 1, random.Random(5))
+    if read_only:
+        files = {name: data for name, data in files.items()
+                 if name.endswith(".smali") or name == "AndroidManifest.xml"}
+    apk = tmp_path / "packed.apk"
+    with warnings.catch_warnings(), zipfile.ZipFile(apk, "w") as zf:
+        warnings.simplefilter("ignore")        # duplicate names
+        for name, data in [*files.items(), *extra]:
+            zf.writestr(name, data)
+    with zipfile.ZipFile(apk) as zf:
+        zf.extractall(tmp_path / "want")
+    tree = pipeline.materialize(apk, tmp_path / "work")
+    assert _snapshot(tree) == _snapshot(tmp_path / "want")
+    assert os.path.isdir(tree / "empty")
+
+
+def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
+    files, truth = synth.build_app_files("s1", 1, random.Random(5))
+    source = tmp_path / truth.name
+    synth.write_tree(files, source)
+    (source / "assets" / "notes.bin").write_bytes(b"\x00unread")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "Linked.smali").write_text(".class LLinked;\n")
+    (outside / "linked.bin").write_bytes(b"linked asset")
+    (source / "smali" / "Linked.smali").symlink_to(outside / "Linked.smali")
+    (source / "assets" / "linked.bin").symlink_to(outside / "linked.bin")
+
+    tree = pipeline.materialize(source, tmp_path / "work")
+    want = {rel: (source / rel).read_bytes() for rel in scan.load_app(source).entries}
+    got = _snapshot(tree)
+    assert {rel: data for rel, data in got.items() if data is not None} == want
+    assert got["smali/Linked.smali"] == b".class LLinked;\n"
+    assert got["assets/linked.bin"] == b"linked asset"
+
+
+def test_bad_frame_size_fails_only_its_own_app(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    files["smali/com/odd/Odd.smali"] = "\n".join([
+        ".class public Lcom/odd/Odd;", ".super Ljava/lang/Object;",
+        ".method public m()V", "    .registers ²", "    return-void",
+        ".end method", ""])
+    (corpus / "bad.apk").write_bytes(synth.zip_app(files))
+    _archive(corpus / "good.apk", "s1", 1)
+    spec = PerturbationSpec(rotation_delta=90)
+
+    both = pipeline.run_pipeline(pipeline.collect_sources(corpus),
+                                 tmp_path / "both", spec=spec)
+    alone = pipeline.run_pipeline([corpus / "good.apk"], tmp_path / "alone",
+                                  spec=spec)
+    by_source = {o.source: o.to_dict() for o in both.outcomes}
+    assert by_source["good.apk"] == alone.outcomes[0].to_dict()
+    assert by_source["good.apk"]["injected"]
+    assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None

@@ -1,5 +1,9 @@
+import io
 import random
+import struct
+import types
 import zipfile
+import zlib
 
 import pytest
 from hypothesis import given
@@ -233,3 +237,167 @@ def test_stats_dict_is_json_friendly(corpus):
     stats = scan.aggregate(scan.scan_path(e.path) for e in entries)
     payload = json.dumps(stats.to_dict(), sort_keys=True)
     assert json.loads(payload)["total"] == 23
+
+
+# ---------------------------------------------------------------------------
+# archive members read from the open file, checked against zipfile
+
+
+SMALI = "smali/com/demo/Holder.smali"
+
+
+def _member_archive(compression=zipfile.ZIP_DEFLATED):
+    """An archive whose read member ``SMALI`` uses ``compression``, and the
+    offset of that member's central directory record."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("AndroidManifest.xml", "<manifest/>")
+        zf.writestr(SMALI, ".class public LHolder;\n" * 200, compress_type=compression)
+        zf.writestr("assets/m.tflite", b"\x00" * 64)
+    data = bytearray(buf.getvalue())
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        offset = zf.start_dir
+    while True:
+        fields = struct.unpack(zipfile.structCentralDir, data[offset:offset + 46])
+        name = data[offset + 46:offset + 46 + fields[12]].decode()
+        if name == SMALI:
+            return data, offset
+        offset += 46 + fields[12] + fields[13] + fields[14]
+
+
+def _garble_payload(data, central):
+    info = _local(data, central)
+    start = info.header_offset + 30 + len(SMALI)
+    data[start:start + 8] = b"\xff" * 8
+
+
+def _bad_magic(data, central):
+    data[_local(data, central).header_offset] = ord("Q")
+
+
+def _rename_local(data, central):
+    start = _local(data, central).header_offset + 30
+    data[start + len(SMALI) - 7] = ord("X")      # Holder -> HoldeX
+
+
+def _bad_crc(data, central):
+    data[central + 16] ^= 0xFF
+
+
+def _encrypted(data, central):
+    data[central + 8] |= 0x01
+
+
+def _short_size(data, central):
+    size = struct.unpack_from("<L", data, central + 24)[0]
+    struct.pack_into("<L", data, central + 24, size - 10)
+
+
+def _local(data, central):
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        return zf.getinfo(SMALI)
+
+
+def _zipfile_result(path):
+    """The read entries as plain ``ZipFile.read`` gives them, or its error."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            return {name: zf.read(name) for name in zf.namelist()
+                    if name.endswith(".smali") or name == "AndroidManifest.xml"}
+    except Exception as exc:
+        return str(exc)
+
+
+def _loader_result(path):
+    try:
+        return scan.load_app(path).data
+    except scan.UnscannableApkError as exc:
+        return exc.reason
+
+
+@pytest.mark.parametrize("compression, damage, fails", [
+    (zipfile.ZIP_DEFLATED, _garble_payload, True),
+    (zipfile.ZIP_DEFLATED, _bad_magic, True),
+    (zipfile.ZIP_DEFLATED, _rename_local, True),
+    (zipfile.ZIP_DEFLATED, _bad_crc, True),
+    (zipfile.ZIP_DEFLATED, _encrypted, True),
+    (zipfile.ZIP_STORED, None, False),
+    (zipfile.ZIP_BZIP2, None, False),
+    (zipfile.ZIP_DEFLATED, _short_size, True),
+    (zipfile.ZIP_STORED, _short_size, True),
+])
+def test_loader_agrees_with_zipfile(tmp_path, compression, damage, fails):
+    data, central = _member_archive(compression)
+    if damage is not None:
+        damage(data, central)
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    want = _zipfile_result(apk)
+    assert isinstance(want, str) is fails
+    assert _loader_result(apk) == want
+
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream, so zipfile writes data descriptors (flag 0x008)."""
+
+    def __init__(self):
+        self.buf = io.BytesIO()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return self.buf.write(b)
+
+
+def test_plain_members_are_read_without_zipfile(tmp_path, monkeypatch):
+    stream = _Unseekable()
+    with zipfile.ZipFile(stream, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("AndroidManifest.xml", "<manifest/>")
+        zf.writestr("smali/Ä.smali", ".class LÄ;\n" * 50)           # flag 0x800
+        zf.writestr("smali/S.smali", "stored", compress_type=zipfile.ZIP_STORED)
+        zf.writestr("smali/Empty.smali", "")
+    infos = zipfile.ZipFile(io.BytesIO(stream.buf.getvalue())).infolist()
+    assert all(info.flag_bits & 0x008 for info in infos)
+    assert any(info.flag_bits & 0x800 for info in infos)
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(stream.buf.getvalue())
+    want = _zipfile_result(apk)
+
+    def no_slow_path(*args, **kwargs):
+        raise AssertionError("member read through zipfile")
+    monkeypatch.setattr(zipfile.ZipFile, "open", no_slow_path)
+    app = scan.load_app(apk)
+    assert app.data == want and len(want) == 4
+    assert app.entries == tuple(info.filename for info in infos)
+
+
+def test_member_cannot_inflate_past_its_declared_size(tmp_path, monkeypatch):
+    data, central = _member_archive()
+    struct.pack_into("<L", data, central + 24, 10)       # file_size: 10 bytes
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    inflated = []
+
+    class Spy:
+        def __init__(self, wbits):
+            self.inner = zlib.decompressobj(wbits)
+
+        def decompress(self, raw, max_length=0):
+            out = self.inner.decompress(raw, max_length)
+            inflated.append(len(out))
+            return out
+    monkeypatch.setattr(scan, "zlib", types.SimpleNamespace(
+        decompressobj=Spy, crc32=zlib.crc32, error=zlib.error))
+    assert _loader_result(apk) == _zipfile_result(apk)
+    assert inflated == [len("<manifest/>"), 10 + 1]     # stopped past 10 bytes
+
+
+@pytest.mark.parametrize("reported", [0, 10, 200_000])
+def test_tree_file_is_read_whole_whatever_size_it_reports(tmp_path, monkeypatch,
+                                                          reported):
+    path = tmp_path / "A.smali"
+    path.write_bytes(bytes(range(256)) * 800)              # 204,800 bytes
+    monkeypatch.setattr(scan.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=reported))
+    assert scan._read_file(str(path)) == path.read_bytes()

@@ -148,6 +148,14 @@ def test_structural_errors():
         smali.parse_unit(WRAPPER + "\n.end method\n")
 
 
+@pytest.mark.parametrize("directive", [".registers \u00b2", ".locals \u0663",
+                                       ".registers \uff13"])
+def test_non_ascii_frame_size_is_a_syntax_error(directive):
+    # str.isdigit accepts these; int() rejects the first and reads the others.
+    with pytest.raises(SmaliSyntaxError, match="malformed"):
+        smali.parse_unit(WRAPPER.replace(".locals 1", directive, 1))
+
+
 def test_error_carries_line_number():
     bad = WRAPPER.replace("const/16 p2, 0xb4", "const/16 p2, zz")
     with pytest.raises(SmaliSyntaxError) as err:
@@ -272,7 +280,7 @@ def _reference_method(lines, start):
             raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
         if s.startswith(".registers") or s.startswith(".locals"):
             toks = s.split()
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                 raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
             if toks[0] == ".registers":
                 registers = int(toks[1])
@@ -453,7 +461,8 @@ def test_fast_check_accepts_well_formed_lines():
            ["", "    :cond_0", "    .line 3", "    # note", "    nop",
             "    .registers 2", "    .locals 1"]), max_size=8),
        odd=st.none() | instruction_lines() | st.sampled_from(
-           ["    .locals x", ".method x", ".end method", "    .registers 1 2"]),
+           ["    .locals x", ".method x", ".end method", "    .registers 1 2",
+            "    .registers \u00b2", "    .locals \u0663"]),
        at=st.integers(0, 8),
        frame=st.sampled_from(["    .registers 3", "    .locals 1", ""]),
        static=st.booleans(), params=st.sampled_from(["", "I", "JI", "Landroid/graphics/Bitmap;"]))
