@@ -159,39 +159,52 @@ def process_app(source: Path, workdir: Path,
     """Scan one app and, if it is a DL app, analyze and optionally inject.
 
     ``taken_by`` names another source that owns this app's work tree; such
-    an app is analyzed but never written.
+    an app is analyzed but never written. Any other exception a stage
+    raises fails only this app: it is recorded as the outcome's error,
+    ``"<stage>: <type>: <message>"``.
     """
+    stage, failure = "load", None
     try:
         app = scan.load_app(source)
+        stage = "classify"
         verdict = scan.classify(app)
     except scan.UnscannableApkError as exc:
         app, verdict = None, scan.unscannable(source, exc.reason)
+    except Exception as exc:
+        failure = _failure(source, stage, exc)
+        app, verdict = None, scan.unscannable(source, failure)
     # Reports must not depend on how the corpus path was spelled.
     verdict = dataclasses.replace(verdict, path=source.name)
-    outcome = AppOutcome(app=verdict.app, source=source.name, verdict=verdict)
+    outcome = AppOutcome(app=verdict.app, source=source.name, verdict=verdict,
+                         error=failure)
     if app is None or not verdict.is_dl:
         return outcome
     if app.unsafe_entry is not None:
         outcome.error = f"unsafe entry {app.unsafe_entry!r}"
         return outcome
 
-    index = locate.ClassIndex.from_files(app.data)
-    analysis = locate.analyze_index(index, app.name, depth=depth)
-    outcome.anchors = len(analysis.anchors)
-    outcome.creation_sites = sum(len(s.creation_sites) for s in analysis.slices)
-    outcome.slice_gaps = sum(len(s.gaps) for s in analysis.slices)
-    outcome.strategies = sorted({m.strategy for m in analysis.matches})
-
-    if spec is None or not analysis.matches:
-        return outcome
-    if taken_by is not None:
-        outcome.error = (f"work tree {tree_name(source)!r} belongs to "
-                         f"{taken_by}; not injected")
-        return outcome
     try:
+        stage = "index"
+        index = locate.ClassIndex.from_files(app.data)
+        stage = "analyze"
+        analysis = locate.analyze_index(index, app.name, depth=depth)
+        outcome.anchors = len(analysis.anchors)
+        outcome.creation_sites = sum(len(s.creation_sites) for s in analysis.slices)
+        outcome.slice_gaps = sum(len(s.gaps) for s in analysis.slices)
+        outcome.strategies = sorted({m.strategy for m in analysis.matches})
+
+        if spec is None or not analysis.matches:
+            return outcome
+        if taken_by is not None:
+            outcome.error = (f"work tree {tree_name(source)!r} belongs to "
+                             f"{taken_by}; not injected")
+            return outcome
+        stage = "materialize"
         tree = materialize(source, workdir, app)
+        stage = "plan"
         plan = inject.plan_injection(tree, spec, analysis.matches, index=index)
         if plan.patches:
+            stage = "apply"
             result = inject.apply_plan(tree, plan)
             outcome.injected = True
             outcome.patches = result.applied
@@ -200,7 +213,15 @@ def process_app(source: Path, workdir: Path,
         outcome.error = exc.reason
     except inject.InjectError as exc:
         outcome.error = str(exc)
+    except Exception as exc:
+        outcome.error = _failure(source, stage, exc)
     return outcome
+
+
+def _failure(source: Path, stage: str, exc: Exception) -> str:
+    """Log an unexpected stage failure with its traceback; its report text."""
+    log.warning("%s: stage %s failed", source.name, stage, exc_info=exc)
+    return f"{stage}: {type(exc).__name__}: {exc}"
 
 
 def run_pipeline(sources: Sequence[Path], workdir: Path,

@@ -113,7 +113,7 @@ def tree_order(rel_path: str) -> List[str]:
 
 def _is_unsafe(name: str) -> bool:
     """True if an archive entry would land outside its extraction directory."""
-    return name.startswith(("/", "\\")) or ".." in Path(name).parts
+    return name.startswith(("/", "\\")) or ".." in name.split("/")
 
 
 def _is_read(name: str) -> bool:

@@ -12,14 +12,14 @@ what makes minimal-diff patching possible.  Supported opcodes with malformed
 operands are rejected with a syntax error rather than guessed at; unknown
 opcodes pass through untouched.
 
-``parse_unit`` validates every line eagerly, but a method's ``Instruction``
-objects are built only when its ``instructions`` are first read: most
-methods of an app are never read by analysis.  Validation checks each
-supported instruction line with one precompiled pattern per opcode family.
-A pattern accepts only lines that ``_parse_instruction`` accepts; a line it
-rejects, or a method whose registers may exceed the frame, is re-checked by
-``_parse_instruction`` and ``_validate_registers``, the same functions that
-build the instructions, so errors and values are those of a full parse.
+One table, ``_CHECKS``, validates and builds.  For each supported opcode
+family it holds a pattern whose groups capture every operand, and a builder
+from a match to operands.  ``parse_unit`` matches every line eagerly but
+reads only the registers, for the frame check; a method's ``Instruction``
+objects are built from the same patterns when its ``instructions`` are first
+read, since most methods of an app are never read by analysis.  A line the
+table rejects, or a method whose registers may exceed the frame, goes to
+``_parse_instruction`` and ``_validate_registers``, which give every error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 
 class SmaliSyntaxError(ValueError):
@@ -83,9 +83,12 @@ MOVE_OPS = {
 MOVE_RESULT_OPS = {"move-result", "move-result-object", "move-result-wide"}
 RETURN_OPS = {"return-void", "return", "return-object", "return-wide"}
 
-_REG_RE = re.compile(r"^[vp]\d+$")
+# int() refuses decimal strings over sys.get_int_max_str_digits() digits,
+# a limit that is never under 640: longer registers, literals and frames fail.
+_MAX_DIGITS = 640
+_REG_RE = re.compile(rf"^[vp]\d{{1,{_MAX_DIGITS}}}$")
 # ASCII hex, or decimal without a leading zero: int(text, 0) rejects "02".
-_INT = r"-?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*)"
+_INT = rf"-?(?:0[xX][0-9a-fA-F]+|0{{1,{_MAX_DIGITS}}}|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
 _INT_RE = re.compile(rf"^{_INT}$")
 _TYPE_RE = re.compile(r"^\[*(?:[ZBCSIJFD]|L[^;\s]+;)$")
 _FIELD_REF_RE = re.compile(r"^(\[*L[^;\s]+;)->([^:\s]+):(\S+)$")
@@ -101,7 +104,7 @@ KNOWN_ACCESS_FLAGS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Register:
     name: str
 
@@ -117,7 +120,7 @@ class Register:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLiteral:
     value: int
     text: str
@@ -127,18 +130,18 @@ class IntLiteral:
         return "hex" if "0x" in self.text.lower() else "dec"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringLiteral:
     # Escaped source form, without the surrounding quotes.
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypeRef:
     descriptor: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldRef:
     owner_class: str
     field_name: str
@@ -148,7 +151,7 @@ class FieldRef:
         return f"{self.owner_class}->{self.field_name}:{self.field_type}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MethodRef:
     owner_class: str
     method_name: str
@@ -160,7 +163,7 @@ class MethodRef:
                 f"({self.param_descriptor}){self.return_type}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RegisterList:
     registers: tuple[Register, ...]
     is_range: bool = False
@@ -169,7 +172,7 @@ class RegisterList:
 Operand = Union[Register, IntLiteral, StringLiteral, TypeRef, FieldRef, MethodRef, RegisterList]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Instruction:
     opcode: str
     kind: OpKind
@@ -219,7 +222,7 @@ class Instruction:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldDecl:
     name: str
     type_descriptor: str
@@ -228,7 +231,7 @@ class FieldDecl:
     raw_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SmaliMethod:
     name: str
     param_types: tuple[str, ...]
@@ -244,13 +247,14 @@ class SmaliMethod:
     def instructions(self) -> tuple[Instruction, ...]:
         """The body's instructions, built from its lines on first read."""
         out = []
+        regs = _Registers()
         for i in range(self.header_line_index + 1, self.end_line_index):
             raw = self.lines[i]
             s = raw.strip()
             if s.startswith(".registers") or s.startswith(".locals"):
                 out.append(Instruction(s.split()[0], OpKind.DIRECTIVE, (), raw, i))
             elif s and not s.startswith("#"):
-                out.append(_parse_instruction(raw, s, i))
+                out.append(_build_instruction(raw, s, i, regs))
         return tuple(out)
 
     @property
@@ -273,7 +277,7 @@ class SmaliMethod:
         return slots
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SmaliUnit:
     class_name: str
     super_name: Optional[str]
@@ -533,41 +537,78 @@ def _validate_registers(method: SmaliMethod) -> None:
                     ins.line_index + 1)
 
 
-# Validation patterns, one per supported opcode family, matched against the
-# operand text after the opcode. Each accepts a subset of what
-# _parse_instruction accepts. No operand part may hold '#' or ',', so the
-# first '#' starts the comment and the ',' splits fall where
-# _parse_instruction puts them. The groups capture the register operands.
-_R = r"([vp][0-9]+)"
+# The instruction table. Each pattern matches the operand text after the
+# opcode and accepts a subset of what _parse_instruction accepts. No operand
+# part may hold '#' or ',', so the first '#' starts the comment and the ','
+# splits fall where _parse_instruction puts them. ``where`` tells where the
+# registers are: the first n groups, the list in group 1 (_LIST) or the
+# bounds in groups 1 and 2 (_RANGE).
+_LREG = rf"[vp][0-9]{{1,{_MAX_DIGITS}}}"
+_R = f"({_LREG})"
 _TAIL = r"\s*(?:#.*)?"
 _TYPE = r"\[*(?:[ZBCSIJFD]|L[^;\s#,]+;)"
-_METHOD = (r"\[*(?:L[^;\s#,]+;|[ZBCSIJFD])->[^(\s#,]+"
-           r"\((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*\)(?:V|" + _TYPE + ")")
-_LIST_REG_RE = re.compile(r"[vp][0-9]+")
-_REGS, _LIST, _RANGE = 0, 1, 2   # how a pattern's groups hold registers
-_CHECKS: dict[str, tuple[re.Pattern, int]] = {
-    op: (re.compile(pattern), mode)
-    for ops, pattern, mode in (
-        (CONST_INT_OPS, rf"{_R}\s*,\s*{_INT}{_TAIL}", _REGS),
-        (CONST_STRING_OPS, rf'{_R}\s*,\s*"(?:[^"\\]|\\.)*"\s*', _REGS),
-        (CONST_CLASS_OPS | {"new-instance", "check-cast"},
-         rf"{_R}\s*,\s*{_TYPE}{_TAIL}", _REGS),
-        (IPUT_OPS | IGET_OPS,
-         rf"{_R}\s*,\s*{_R}\s*,\s*\[*L[^;\s#,]+;->[^:\s#,]+:{_TYPE}{_TAIL}", _REGS),
-        (INVOKE_OPS,
-         rf"\{{(\s*(?:[vp][0-9]+(?:\s*,\s*[vp][0-9]+)*)?\s*)\}}\s*,\s*{_METHOD}{_TAIL}",
-         _LIST),
-        (INVOKE_RANGE_OPS,
-         rf"\{{\s*(?:{_R}\s*\.\.\s*{_R})?\s*\}}\s*,\s*{_METHOD}{_TAIL}", _RANGE),
-        (MOVE_OPS, rf"{_R}\s*,\s*{_R}{_TAIL}", _REGS),
-        (MOVE_RESULT_OPS | RETURN_OPS - {"return-void"}, rf"{_R}{_TAIL}", _REGS),
-        ({"return-void"}, _TAIL, _REGS))
+_METHOD = (r"(\[*(?:L[^;\s#,]+;|[ZBCSIJFD]))->([^(\s#,]+)"
+           r"\(((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*)\)(V|" + _TYPE + ")")
+_TYPED = rf"{_R}\s*,\s*({_TYPE}){_TAIL}"
+_FIELD = rf"{_R}\s*,\s*{_R}\s*,\s*(\[*L[^;\s#,]+;)->([^:\s#,]+):({_TYPE}){_TAIL}"
+_LIST_REG_RE = re.compile(_LREG)
+_LIST, _RANGE = -1, -2
+
+
+class _Registers(dict):
+    """The Register objects of one method build, one per name."""
+
+    def __missing__(self, name: str) -> Register:
+        reg = self[name] = Register(name)
+        return reg
+
+
+def _typed(m: re.Match, r: _Registers) -> tuple:
+    return r[m[1]], TypeRef(m[2])
+
+
+def _field(m: re.Match, r: _Registers) -> tuple:
+    return r[m[1]], r[m[2]], FieldRef(m[3], m[4], m[5])
+
+
+def _only_registers(m: re.Match, r: _Registers) -> tuple:
+    return tuple([r[name] for name in m.groups()])
+
+
+def _range(m: re.Match, r: _Registers) -> tuple:
+    first, last = m[1], m[2]
+    names = [f"{first[0]}{i}" for i in range(int(first[1:]), int(last[1:]) + 1)] if first else []
+    return RegisterList(tuple([r[n] for n in names]), True), MethodRef(m[3], m[4], m[5], m[6])
+
+
+_CHECKS: dict[str, tuple[re.Pattern, OpKind, int, Callable[..., tuple]]] = {
+    op: (re.compile(pattern), kind, where, operands)
+    for ops, kind, pattern, where, operands in (
+        (CONST_INT_OPS, OpKind.CONST_INT, rf"{_R}\s*,\s*({_INT}){_TAIL}", 1,
+         lambda m, r: (r[m[1]], IntLiteral(int(m[2], 0), m[2]))),
+        (CONST_STRING_OPS, OpKind.CONST_STRING, rf'{_R}\s*,\s*"((?:[^"\\]|\\.)*)"\s*', 1,
+         lambda m, r: (r[m[1]], StringLiteral(m[2]))),
+        (CONST_CLASS_OPS, OpKind.CONST_CLASS, _TYPED, 1, _typed),
+        ({"new-instance"}, OpKind.NEW_INSTANCE, _TYPED, 1, _typed),
+        ({"check-cast"}, OpKind.CHECK_CAST, _TYPED, 1, _typed),
+        (IPUT_OPS, OpKind.IPUT, _FIELD, 2, _field),
+        (IGET_OPS, OpKind.IGET, _FIELD, 2, _field),
+        (INVOKE_OPS, OpKind.INVOKE,
+         rf"\{{(\s*(?:{_LREG}(?:\s*,\s*{_LREG})*)?\s*)\}}\s*,\s*{_METHOD}{_TAIL}", _LIST,
+         lambda m, r: (RegisterList(tuple([r[n] for n in _LIST_REG_RE.findall(m[1])])),
+                       MethodRef(m[2], m[3], m[4], m[5]))),
+        (INVOKE_RANGE_OPS, OpKind.INVOKE,
+         rf"\{{\s*(?:{_R}\s*\.\.\s*{_R})?\s*\}}\s*,\s*{_METHOD}{_TAIL}", _RANGE, _range),
+        (MOVE_OPS, OpKind.MOVE, rf"{_R}\s*,\s*{_R}{_TAIL}", 2, _only_registers),
+        (MOVE_RESULT_OPS, OpKind.MOVE_RESULT, rf"{_R}{_TAIL}", 1, _only_registers),
+        (RETURN_OPS - {"return-void"}, OpKind.RETURN, rf"{_R}{_TAIL}", 1, _only_registers),
+        ({"return-void"}, OpKind.RETURN, _TAIL, 0, _only_registers))
     for op in ops}
 
 
 def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
-    """Register operands of an instruction line that the validation
-    patterns accept, () for an unsupported opcode, None for a rejected line.
+    """Register operands of an instruction line that the table accepts, ()
+    for an unsupported opcode, None for a rejected line.
 
     For a /range list only its bounds are returned: they hold the highest
     index, which is all the frame check needs.
@@ -576,20 +617,36 @@ def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
     check = _CHECKS.get(parts[0])
     if check is None:
         return ()
-    pattern, mode = check
+    pattern, _, where, _ = check
     m = pattern.fullmatch(parts[1] if len(parts) > 1 else "")
     if m is None:
         return None
-    if mode == _REGS:
-        return m.groups()
-    if mode == _LIST:
-        return _LIST_REG_RE.findall(m.group(1))
-    first, last = m.groups()
+    if where >= 0:
+        return m.groups()[:where]
+    if where == _LIST:
+        return _LIST_REG_RE.findall(m[1])
+    first, last = m[1], m[2]
     if first is None:
         return ()
     if first[0] != last[0] or int(last[1:]) < int(first[1:]):
         return None
     return first, last
+
+
+def _build_instruction(raw: str, stripped: str, line_index: int,
+                       regs: _Registers) -> Instruction:
+    """The Instruction of a line that validation accepted: built from its
+    table match, or by _parse_instruction for a line the table rejects or
+    does not cover. (A /range list the table matches has passed the order
+    check of _fast_registers.)"""
+    parts = stripped.split(None, 1)
+    check = _CHECKS.get(parts[0])
+    if check is not None:
+        pattern, kind, _, operands = check
+        m = pattern.fullmatch(parts[1] if len(parts) > 1 else "")
+        if m is not None:
+            return Instruction(parts[0], kind, operands(m, regs), raw, line_index)
+    return _parse_instruction(raw, stripped, line_index)
 
 
 def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
@@ -621,9 +678,10 @@ def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]
                 return method, i + 1
             if s.startswith(".method"):
                 raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
-            if s.startswith(".registers") or s.startswith(".locals"):
-                toks = s.split()
-                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
+            toks = s.split() if s.startswith((".registers", ".locals")) else ()
+            if toks and toks[0] in (".registers", ".locals"):
+                if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()) \
+                        or len(toks[1]) > _MAX_DIGITS:
                     raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
                 if toks[0] == ".registers":
                     registers = int(toks[1])

@@ -403,9 +403,9 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
     from_files = locate.ClassIndex.from_files.__func__
     monkeypatch.setattr(locate.ClassIndex, "from_files", classmethod(
         lambda cls, f: indexes.append(from_files(cls, f)) or indexes[-1]))
-    parse = smali._parse_instruction
-    monkeypatch.setattr(smali, "_parse_instruction",
-                        lambda raw, s, i: parsed.append(raw) or parse(raw, s, i))
+    build = smali._build_instruction
+    monkeypatch.setattr(smali, "_build_instruction",
+                        lambda raw, s, i, regs: parsed.append(raw) or build(raw, s, i, regs))
 
     analysis = locate.analyze_files(files, truth.name)
 

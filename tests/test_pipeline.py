@@ -5,7 +5,7 @@ import zipfile
 
 import pytest
 
-from prepatch import pipeline, scan, synth
+from prepatch import inject, locate, pipeline, scan, synth
 from prepatch.perturbation import PerturbationSpec
 
 
@@ -168,3 +168,60 @@ def test_bad_frame_size_fails_only_its_own_app(tmp_path):
     assert by_source["good.apk"] == alone.outcomes[0].to_dict()
     assert by_source["good.apk"]["injected"]
     assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None
+
+
+def _beside_good(tmp_path, bad_files, monkeypatch=None):
+    """Outcomes of good.apk alone and of both apps, as dicts by source."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.apk").write_bytes(synth.zip_app(bad_files))
+    _archive(corpus / "good.apk", "s1", 1)
+    spec = PerturbationSpec(rotation_delta=90)
+    alone = pipeline.run_pipeline([corpus / "good.apk"], tmp_path / "alone", spec=spec)
+    if monkeypatch is not None:
+        monkeypatch()
+    both = pipeline.run_pipeline(pipeline.collect_sources(corpus),
+                                 tmp_path / "both", spec=spec)
+    return alone.outcomes[0].to_dict(), {o.source: o.to_dict() for o in both.outcomes}
+
+
+_LONG = "1" * 5000   # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("method", [
+    pytest.param([".method public m()V", "    .registers 2", f"    move v{_LONG}, v0"],
+                 id="register"),
+    pytest.param([".method public m()V", f"    .registers {_LONG}"], id="frame"),
+    # <init> bodies are built by analysis, not by the frame check.
+    pytest.param([".method public constructor <init>()V", "    .locals 2",
+                  f"    const-wide v0, {_LONG}"], id="literal"),
+])
+def test_long_decimal_fails_only_its_own_class(tmp_path, method):
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    files["smali/com/odd/Odd.smali"] = "\n".join([
+        ".class public Lcom/odd/Odd;", ".super Ljava/lang/Object;",
+        *method, "    return-void", ".end method", ""])
+    alone, by_source = _beside_good(tmp_path, files)
+    assert by_source["good.apk"] == alone and alone["injected"]
+    assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None
+
+
+@pytest.mark.parametrize("stage, owner, name", [
+    ("load", scan, "load_app"), ("classify", scan, "classify"),
+    ("index", locate.ClassIndex, "from_files"), ("analyze", locate, "analyze_index"),
+    ("materialize", pipeline, "materialize"), ("plan", inject, "plan_injection"),
+    ("apply", inject, "apply_plan")])
+def test_stage_failure_fails_only_its_own_app(tmp_path, monkeypatch, stage, owner, name):
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    real, calls = getattr(owner, name), []
+
+    def fail_first(*args, **kwargs):   # bad.apk is processed first
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+    alone, by_source = _beside_good(
+        tmp_path, files, lambda: monkeypatch.setattr(owner, name, fail_first))
+    assert by_source["good.apk"] == alone and alone["injected"]
+    assert by_source["bad.apk"]["error"] == f"{stage}: RuntimeError: boom"
+    assert not by_source["bad.apk"]["injected"]

@@ -4,6 +4,7 @@ import struct
 import types
 import zipfile
 import zlib
+from pathlib import PurePosixPath
 
 import pytest
 from hypothesis import given
@@ -187,6 +188,13 @@ def test_truncated_member_is_unscannable(tmp_path):
     bad.write_bytes(bytes(data))
     verdict = scan.scan_path(bad)
     assert verdict.error is not None
+
+
+@pytest.mark.parametrize("name", ["..", "a/../b", "./..", "a//..", "..\\x", "/abs",
+                                  "\\abs", "a/..", "a/../", "..a", "a/b", "./a", ""])
+def test_unsafe_entry_check_agrees_with_path_parts(name):
+    reference = name.startswith(("/", "\\")) or ".." in PurePosixPath(name).parts
+    assert scan._is_unsafe(name) == reference
 
 
 def test_invalid_manifest_still_scannable(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -121,6 +122,8 @@ def test_unknown_opcodes_pass_through():
     ("iput v0, p0, Lcom/demo/vision/Holder;>zzd:I",
      "iput v0, p0, Lcom/demo/vision/Holder;->zzd:I"),  # mangled field ref
     ("const/16 p2,", None),                            # missing operand
+    pytest.param("move-result v" + "1" * 5000, "move-result v0",
+                 id="5000-digit register"),        # an index int() refuses
 ])
 def test_malformed_supported_opcodes_rejected(mutation, original):
     source = original or "const/16 p2, 0xb4"
@@ -149,11 +152,21 @@ def test_structural_errors():
 
 
 @pytest.mark.parametrize("directive", [".registers \u00b2", ".locals \u0663",
-                                       ".registers \uff13"])
+                                       ".registers \uff13",
+                                       pytest.param(".locals " + "9" * 5000, id="5000 digits")])
 def test_non_ascii_frame_size_is_a_syntax_error(directive):
     # str.isdigit accepts these; int() rejects the first and reads the others.
     with pytest.raises(SmaliSyntaxError, match="malformed"):
         smali.parse_unit(WRAPPER.replace(".locals 1", directive, 1))
+
+
+@pytest.mark.parametrize("line", [".registersfoo 3", ".locals_x 2", ".registers3"])
+def test_directive_that_only_starts_like_a_frame_size_is_opaque(line):
+    unit = smali.parse_unit(WRAPPER.replace("    .locals 1\n", f"    .locals 1\n    {line}\n"))
+    (ctor,) = unit.methods
+    assert (ctor.registers, ctor.locals_count) == (None, 1)
+    assert (ctor.instructions[1].opcode, ctor.instructions[1].kind) == \
+        (line.split()[0], OpKind.DIRECTIVE)
 
 
 def test_error_carries_line_number():
@@ -278,9 +291,10 @@ def _reference_method(lines, start):
                     tuple(instructions)), i + 1
         if s.startswith(".method"):
             raise SmaliSyntaxError("nested .method (missing .end method?)", i + 1)
-        if s.startswith(".registers") or s.startswith(".locals"):
-            toks = s.split()
-            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
+        toks = s.split()
+        if toks and toks[0] in (".registers", ".locals"):
+            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()) \
+                    or len(toks[1]) > 640:
                 raise SmaliSyntaxError(f"malformed {toks[0]} directive", i + 1)
             if toks[0] == ".registers":
                 registers = int(toks[1])
@@ -345,10 +359,12 @@ def _lazy_methods(text):
 # Operand pools: (well-formed, odd). An odd value may still be one the
 # parser accepts, e.g. a register with non-ASCII digits.
 _POOLS = {
-    "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10"],
-            ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x"]),
-    "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff", "00", "-0"],
-            ["xb4", "0x", "1e3", "+1", "--1", "١٢", "٠٢", "0xg", "- 1", "02", "-010"]),
+    "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10", "v" + "9" * 640],
+            ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x", "v" + "1" * 5000, "p" + "9" * 641]),
+    "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff", "00", "-0",
+             "-" + "9" * 640, "0" * 640, "0x" + "f" * 5000],
+            ["xb4", "0x", "1e3", "+1", "--1", "١٢", "٠٢", "0xg", "- 1", "02", "-010",
+             "1" * 5000, "0" * 5000, "-" + "9" * 641]),
     "type": (["I", "[B", "Landroid/graphics/Bitmap;", "Lx;", "[[Lx;"],
              ["L;", "Q", "[", "La/b c;", "La#b;", "La,b;", "V"]),
     "field": (["Lcom/demo/Holder;->zzd:I", "Lx;->a:[Lx;", "[Lx;->a:I", "Lx;->a-b:J"],
@@ -361,9 +377,11 @@ _POOLS = {
                 "Lx;->m(I)L#x;", "Lx;->m(I)V}"]),
     "str": (['"abc"', '"a\\"b"', '"#x, y"', '""', '"a\\\\"', '"{v9}"'],
             ['"unterminated', '"a" # c', '"\\"', "'a'", '"a"b"']),
-    "list": (["{v0, v1}", "{}", "{ }", "{p0}", "{v0 .. v3}", "{p0..p2}", "{v1 .. v1}"],
+    "list": (["{v0, v1}", "{}", "{ }", "{p0}", "{v0 .. v3}", "{p0..p2}", "{v1 .. v1}",
+              "{v00, p1}", "{v00 .. v02}"],
              ["{v3 .. v0}", "{v0 .. p1}", "{v0,}", "{v0 v1}", "{pe}",
-              "{v0 .. v1 .. v2}", "{v0", "v0}", "{v0 .. }", "{,}", "{v٣}", "{v0}}"]),
+              "{v0 .. v1 .. v2}", "{v0", "v0}", "{v0 .. }", "{,}", "{v٣}", "{v0}}",
+              "{v" + "1" * 5000 + "}", "{v0 .. v" + "1" * 5000 + "}"]),
     "sep": ([", ", ",", " , ", "\t,  "], [",,", " ", ""]),
     "tail": (["", " # c", "#c", "   ", " #,x", "\t# }"], [" extra", " ,"]),
     "gap": ([" ", "\t", "  "], [" "]),
@@ -428,6 +446,33 @@ def test_fast_check_accepts_only_what_the_parser_accepts(line):
     _check_soundness(line)
 
 
+def _shape(value):
+    """A record as nested (type, fields) pairs: equal shapes have equal
+    operands of equal types, all the way down."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_shape(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple, tuple(_shape(v) for v in value)
+    return type(value), value
+
+
+def _check_build(line):
+    """A line the table accepts builds the Instruction _parse_instruction
+    gives for it."""
+    stripped = line.strip()
+    if smali._fast_registers(stripped) is None:
+        return
+    built = smali._build_instruction(line, stripped, 4, smali._Registers())
+    assert _shape(built) == _shape(smali._parse_instruction(line, stripped, 4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=instruction_lines())
+def test_table_builds_what_the_parser_builds(line):
+    _check_build(line)
+
+
 def test_fast_check_with_each_odd_operand():
     slots = ("reg", "reg2", "sep", "lit", "str", "type", "field", "list", "method")
     for ops, templates in _FAMILIES:
@@ -443,6 +488,7 @@ def test_fast_check_with_each_odd_operand():
                             _POOLS["reg" if s == "reg2" else s][0][0] for s in slots})
                         for tail in _POOLS["tail"][0] + _POOLS["tail"][1]:
                             _check_soundness(f"    {op} {operands}{tail}")
+                            _check_build(f"    {op} {operands}{tail}")
 
 
 def test_fast_check_accepts_well_formed_lines():
@@ -462,7 +508,8 @@ def test_fast_check_accepts_well_formed_lines():
             "    .registers 2", "    .locals 1"]), max_size=8),
        odd=st.none() | instruction_lines() | st.sampled_from(
            ["    .locals x", ".method x", ".end method", "    .registers 1 2",
-            "    .registers \u00b2", "    .locals \u0663"]),
+            "    .registers \u00b2", "    .locals \u0663", "    .registersfoo 3",
+            "    .registers " + "9" * 5000]),
        at=st.integers(0, 8),
        frame=st.sampled_from(["    .registers 3", "    .locals 1", ""]),
        static=st.booleans(), params=st.sampled_from(["", "I", "JI", "Landroid/graphics/Bitmap;"]))
@@ -481,7 +528,8 @@ def test_parse_unit_agrees_with_eager_reference(body, odd, at, frame, static, pa
         assert smali.emit_unit(smali.parse_unit(text)) == text
 
 
-@pytest.mark.parametrize("text", ["02", "-010", "00x1", "١٢", "0x", "+1"])
+@pytest.mark.parametrize("text", ["02", "-010", "00x1", "١٢", "0x", "+1", *(
+    pytest.param(digit * n, id=f"{n}x{digit}") for digit, n in (("1", 5000), ("0", 5000), ("9", 641)))])
 def test_bad_int_literal_is_a_syntax_error(text):
     with pytest.raises(SmaliSyntaxError, match="bad integer literal"):
         smali.parse_int_literal(text, 3)
@@ -512,9 +560,9 @@ def test_first_out_of_range_register_is_reported(first, later, reported):
 
 def test_instructions_are_built_on_first_read(monkeypatch):
     calls = []
-    real = smali._parse_instruction
-    monkeypatch.setattr(smali, "_parse_instruction",
-                        lambda raw, s, i: calls.append(i) or real(raw, s, i))
+    real = smali._build_instruction
+    monkeypatch.setattr(smali, "_build_instruction",
+                        lambda raw, s, i, regs: calls.append(i) or real(raw, s, i, regs))
     unit = smali.parse_unit(WRAPPER)
     assert calls == []
     (ctor,) = unit.methods
