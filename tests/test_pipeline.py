@@ -170,16 +170,16 @@ def test_bad_frame_size_fails_only_its_own_app(tmp_path):
     assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None
 
 
-def _beside_good(tmp_path, bad_files, monkeypatch=None):
-    """Outcomes of good.apk alone and of both apps, as dicts by source."""
+def _beside_good(tmp_path, bad_files, before_both=lambda: None):
+    """Outcomes of good.apk alone and of both apps, as dicts by source;
+    ``before_both`` runs between the two pipeline runs."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "bad.apk").write_bytes(synth.zip_app(bad_files))
     _archive(corpus / "good.apk", "s1", 1)
     spec = PerturbationSpec(rotation_delta=90)
     alone = pipeline.run_pipeline([corpus / "good.apk"], tmp_path / "alone", spec=spec)
-    if monkeypatch is not None:
-        monkeypatch()
+    before_both()
     both = pipeline.run_pipeline(pipeline.collect_sources(corpus),
                                  tmp_path / "both", spec=spec)
     return alone.outcomes[0].to_dict(), {o.source: o.to_dict() for o in both.outcomes}

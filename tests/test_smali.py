@@ -155,7 +155,8 @@ def test_structural_errors():
                                        ".registers \uff13",
                                        pytest.param(".locals " + "9" * 5000, id="5000 digits")])
 def test_non_ascii_frame_size_is_a_syntax_error(directive):
-    # str.isdigit accepts these; int() rejects the first and reads the others.
+    # str.isdigit accepts these; int() rejects the first and the last and
+    # reads the others.
     with pytest.raises(SmaliSyntaxError, match="malformed"):
         smali.parse_unit(WRAPPER.replace(".locals 1", directive, 1))
 
