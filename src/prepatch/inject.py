@@ -17,13 +17,14 @@ from __future__ import annotations
 import difflib
 import json
 import os
+import re
 import shlex
 import subprocess
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import locate, scan, smali
 from .locate import ConstructorMatch
@@ -118,8 +119,26 @@ def _indent_of(line: str) -> str:
     return line[:len(line) - len(line.lstrip())]
 
 
-def _read_lines(root: Path, rel: str) -> List[str]:
-    return (root / rel).read_text(encoding="utf-8").split("\n")
+_NEWLINE_RE = re.compile(r"(\r\n|\r|\n)")
+
+
+class _Text(NamedTuple):
+    """A file's lines as a universal-newline read gives them, and the ending
+    each line has in the file (the last line's is "")."""
+    lines: List[str]
+    ends: List[str]
+
+    @classmethod
+    def of(cls, text: str) -> "_Text":
+        parts = _NEWLINE_RE.split(text)
+        return cls(parts[0::2], parts[1::2] + [""])
+
+    def joined(self) -> str:
+        return "".join(line + end for line, end in zip(self.lines, self.ends))
+
+
+def _read_text(root: Path, rel: str) -> _Text:
+    return _Text.of((root / rel).read_bytes().decode("utf-8"))
 
 
 def has_marker(text: str) -> bool:
@@ -208,7 +227,7 @@ def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
 def _marked_file(index: locate.ClassIndex) -> Optional[str]:
     """First smali file, parsed or not, that carries the marker."""
     marked = [rel for rel, unit in index.by_path.items()
-              if has_marker("\n".join(unit.lines))]
+              if has_marker(unit.text)]
     marked += [rel for rel, text in index.unparsed.items() if has_marker(text)]
     return min(marked, key=scan.tree_order, default=None)
 
@@ -270,23 +289,28 @@ def _marker_patch(lines: List[str], rel: str) -> Patch:
     return Patch(rel, anchor + 1, (), ("", MARKER_FIELD), "injection marker")
 
 
-def _verify_and_edit(lines: Sequence[str], patches: Sequence[Patch]) -> List[str]:
-    out = list(lines)
+def _verify_and_edit(text: _Text, patches: Sequence[Patch]) -> _Text:
+    """``text`` with ``patches`` applied. Untouched lines keep their endings;
+    replacement lines take the file's first line ending (LF in a file with
+    none)."""
+    out = _Text(list(text.lines), list(text.ends))
+    newline = next((end for end in text.ends if end), "\n")
     for patch in patches:  # already sorted bottom-up
         start = patch.line_index
         end = start + len(patch.original_lines)
-        if tuple(out[start:end]) != patch.original_lines:
+        if tuple(out.lines[start:end]) != patch.original_lines:
             raise StalePlanError(
                 f"{patch.unit_path}:{start}: tree content changed since "
                 f"planning ({patch.description})")
-        out[start:end] = list(patch.replacement_lines)
+        out.lines[start:end] = patch.replacement_lines
+        out.ends[start:end] = [newline] * len(patch.replacement_lines)
     return out
 
 
-def _patched(lines: Sequence[str], rel: str, patches: Sequence[Patch]) -> List[str]:
+def _patched(text: _Text, rel: str, patches: Sequence[Patch]) -> _Text:
     """The file after its patches and the marker field."""
-    out = _verify_and_edit(lines, patches)
-    return _verify_and_edit(out, [_marker_patch(out, rel)])
+    out = _verify_and_edit(text, patches)
+    return _verify_and_edit(out, [_marker_patch(out.lines, rel)])
 
 
 def _diff(rel: str, old: Sequence[str], new: Sequence[str]) -> str:
@@ -301,17 +325,17 @@ def _by_file(plan: InjectionPlan) -> Dict[str, List[Patch]]:
     return grouped
 
 
-def _read_touched(root: Path, plan: InjectionPlan) -> Dict[str, List[str]]:
-    return {rel: _read_lines(root, rel) for rel in _by_file(plan)}
+def _read_touched(root: Path, plan: InjectionPlan) -> Dict[str, _Text]:
+    return {rel: _read_text(root, rel) for rel in _by_file(plan)}
 
 
-def _edit(current: Dict[str, Sequence[str]], plan: InjectionPlan
-          ) -> Tuple[Dict[str, List[str]], str]:
-    """Patched lines of every touched file, and the unified diff."""
+def _edit(current: Dict[str, _Text], plan: InjectionPlan
+          ) -> Tuple[Dict[str, _Text], str]:
+    """Every touched file after its patches, and the unified diff."""
     edited, chunks = {}, []
     for rel, patches in _by_file(plan).items():
         edited[rel] = _patched(current[rel], rel, patches)
-        chunks.append(_diff(rel, current[rel], edited[rel]))
+        chunks.append(_diff(rel, current[rel].lines, edited[rel].lines))
     return edited, "\n".join(chunk for chunk in chunks if chunk)
 
 
@@ -322,7 +346,7 @@ def render_diff(root: Path, plan: InjectionPlan) -> str:
 
 def render_index_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
     """Unified diff of the plan against the indexed lines, without writing."""
-    return _edit({rel: index.by_path[rel].lines for rel in _by_file(plan)},
+    return _edit({rel: _Text.of(index.by_path[rel].text) for rel in _by_file(plan)},
                  plan)[1]
 
 
@@ -470,15 +494,15 @@ def recover(root: Path) -> None:
             _recover(root)
 
 
-def _commit(root: Path, edited: Dict[str, List[str]]) -> None:
+def _commit(root: Path, edited: Dict[str, _Text]) -> None:
     """Stage every edited file, journal them, then replace the targets."""
     journal = _beside(root, JOURNAL_SUFFIX)
     staged: List[Path] = []
     try:
-        for rel, lines in edited.items():
+        for rel, text in edited.items():
             temp = _temp_path(root / rel)
             staged.append(temp)
-            temp.write_text("\n".join(lines), encoding="utf-8")
+            temp.write_bytes(text.joined().encode("utf-8"))
         _write_journal(root, sorted(edited))
     except Exception:
         for temp in staged:
@@ -498,8 +522,8 @@ def apply_plan(root: Path, plan: InjectionPlan) -> InjectionResult:
     with _locked(root):
         _recover(root)
         current = _read_touched(root, plan)
-        for rel, lines in current.items():
-            if has_marker("\n".join(lines)):
+        for rel, text in current.items():
+            if has_marker("\n".join(text.lines)):
                 raise AlreadyInjectedError(f"{rel} already carries the marker")
         edited, diff = _edit(current, plan)
         _commit(root, edited)

@@ -296,21 +296,28 @@ class ClassIndex:
 # anchors
 
 
-def _mentions_inference_owner(method: SmaliMethod) -> bool:
-    """True if the method's lines name an inference API owner. An inference
-    invoke names its owner in its own line, so a method without one has no
-    anchor, and its instructions need not be built."""
-    body = "\n".join(method.lines[method.header_line_index:method.end_line_index])
-    return any(prefix in body for prefix in INFERENCE_OWNER_PREFIXES)
+def _mentions_inference_owner(text: str) -> bool:
+    return any(prefix in text for prefix in INFERENCE_OWNER_PREFIXES)
+
+
+def _methods_with_anchors(unit: SmaliUnit) -> List[SmaliMethod]:
+    """The unit's methods whose lines name an inference API owner. An
+    inference invoke names its owner in its own line, so no other method has
+    an anchor, and their instructions need not be built. A method's body is
+    part of the unit's text and no prefix holds a newline, so a unit whose
+    text names no owner has no such method and is not split into lines."""
+    if not _mentions_inference_owner(unit.text):
+        return []
+    lines = unit.text.split("\n")
+    return [m for m in unit.methods if _mentions_inference_owner(
+        "\n".join(lines[m.header_line_index:m.end_line_index]))]
 
 
 def find_anchors(index: ClassIndex) -> List[SliceAnchor]:
     anchors: List[SliceAnchor] = []
     for rel_path in index.owned_paths():
         unit = index.by_path[rel_path]
-        for method in unit.methods:
-            if not _mentions_inference_owner(method):
-                continue
+        for method in _methods_with_anchors(unit):
             for instr in method.instructions:
                 if instr.kind is not OpKind.INVOKE:
                     continue

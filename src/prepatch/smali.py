@@ -6,18 +6,19 @@ moves, move-results, returns, new-instance and check-cast.  Every other line
 (directives, labels, switch payloads, annotations, comments) is kept as an
 opaque raw line, so ``emit_unit(parse_unit(text)) == text`` byte-for-byte.
 
-Lines are the unit of fidelity: a unit stores the full line array of the
-source file and every structured instruction points back into it, which is
-what makes minimal-diff patching possible.  Supported opcodes with malformed
-operands are rejected with a syntax error rather than guessed at; unknown
-opcodes pass through untouched.
+Lines are the unit of fidelity: a unit stores the text of the source file
+once, and every structured instruction keeps its own line and that line's
+index in the file, which is what makes minimal-diff patching possible.
+Supported opcodes with malformed operands are rejected with a syntax error
+rather than guessed at; unknown opcodes pass through untouched.
 
 One table, ``_CHECKS``, validates and builds.  For each supported opcode
 family it holds a pattern whose groups capture every operand, and a builder
 from a match to operands.  ``parse_unit`` matches every line eagerly but
 reads only the registers, for the frame check; a method's ``Instruction``
 objects are built from the same patterns when its ``instructions`` are first
-read, since most methods of an app are never read by analysis.  A line the
+read, since most methods of an app are never read by analysis; a method
+shares its unit's text and keeps only its own lines once built.  A line the
 table rejects, or a method whose registers may exceed the frame, goes to
 ``_parse_instruction`` and ``_validate_registers``, which give every error.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 
@@ -87,6 +87,8 @@ RETURN_OPS = {"return-void", "return", "return-object", "return-wide"}
 # a limit that is never under 640: longer registers, literals and frames fail.
 _MAX_DIGITS = 640
 _REG_RE = re.compile(rf"^[vp]\d{{1,{_MAX_DIGITS}}}$")
+# Dalvik register numbers are 16-bit.
+_MAX_REGISTER = 0xFFFF
 # ASCII hex, or decimal without a leading zero: int(text, 0) rejects "02".
 _INT = rf"-?(?:0[xX][0-9a-fA-F]+|0{{1,{_MAX_DIGITS}}}|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
 _INT_RE = re.compile(rf"^{_INT}$")
@@ -222,7 +224,24 @@ class Instruction:
         return ()
 
 
-@dataclass(unsafe_hash=True)
+# Access-flag sets shared by the records of every unit, by their flags as
+# written. Class flags are not validated, so past _MAX_FLAG_SETS entries a
+# new set is returned unshared.
+_FLAG_SETS: dict[tuple[str, ...], frozenset[str]] = {}
+_MAX_FLAG_SETS = 256
+
+
+def _flag_set(tokens: Sequence[str]) -> frozenset[str]:
+    written = tuple(tokens)
+    flags = _FLAG_SETS.get(written)
+    if flags is None:
+        flags = frozenset(written)
+        if len(_FLAG_SETS) < _MAX_FLAG_SETS:
+            _FLAG_SETS[written] = flags
+    return flags
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class FieldDecl:
     name: str
     type_descriptor: str
@@ -231,7 +250,7 @@ class FieldDecl:
     raw_text: str
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SmaliMethod:
     name: str
     param_types: tuple[str, ...]
@@ -241,21 +260,31 @@ class SmaliMethod:
     locals_count: Optional[int]   # .locals value, or None
     header_line_index: int
     end_line_index: int
-    lines: tuple[str, ...] = field(repr=False)   # the lines of the whole unit
+    text: str = field(repr=False)   # the text of the whole unit
+    _instructions: Optional[tuple[Instruction, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def instructions(self) -> tuple[Instruction, ...]:
-        """The body's instructions, built from its lines on first read."""
-        out = []
-        regs = _Registers()
-        for i in range(self.header_line_index + 1, self.end_line_index):
-            raw = self.lines[i]
-            s = raw.strip()
-            if s.startswith(".registers") or s.startswith(".locals"):
-                out.append(Instruction(s.split()[0], OpKind.DIRECTIVE, (), raw, i))
-            elif s and not s.startswith("#"):
-                out.append(_build_instruction(raw, s, i, regs))
-        return tuple(out)
+        """The body's instructions, built from the unit's text on first read.
+        Each keeps its own line as ``raw_text``; no other line is kept."""
+        if self._instructions is None:
+            lines = self.text.split("\n", self.end_line_index)
+            out = []
+            regs = _Registers()
+            for i in range(self.header_line_index + 1, self.end_line_index):
+                raw = lines[i]
+                s = raw.strip()
+                if s.startswith(".registers") or s.startswith(".locals"):
+                    out.append(Instruction(s.split()[0], OpKind.DIRECTIVE, (), raw, i))
+                elif s and not s.startswith("#"):
+                    out.append(_build_instruction(raw, s, i, regs))
+            self._instructions = tuple(out)
+        return self._instructions
+
+    @property
+    def instructions_built(self) -> bool:
+        return self._instructions is not None
 
     @property
     def is_constructor(self) -> bool:
@@ -277,14 +306,19 @@ class SmaliMethod:
         return slots
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SmaliUnit:
     class_name: str
     super_name: Optional[str]
     class_flags: frozenset[str]
     fields: tuple[FieldDecl, ...]
     methods: tuple[SmaliMethod, ...]
-    lines: tuple[str, ...]
+    text: str = field(repr=False)
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """The unit's lines, split from its text on every read."""
+        return tuple(self.text.split("\n"))
 
 
 def check_type_descriptor(desc: str, *, void_ok: bool = False) -> bool:
@@ -344,6 +378,8 @@ def render_const(register: str, value: int, radix: str = "hex", indent: str = " 
 def _parse_register(tok: str, line: int) -> Register:
     if not _REG_RE.match(tok):
         raise SmaliSyntaxError(f"bad register '{tok}'", line)
+    if int(tok[1:]) > _MAX_REGISTER:
+        raise SmaliSyntaxError(f"register '{tok}' above {tok[0]}{_MAX_REGISTER}", line)
     return Register(tok)
 
 
@@ -501,7 +537,7 @@ def _parse_method_header(raw: str, line_index: int) -> tuple[frozenset[str], str
     param_types = split_param_descriptors(params, lineno)
     if not check_type_descriptor(ret, void_ok=True):
         raise SmaliSyntaxError(f"bad return type descriptor '{ret}'", lineno)
-    return frozenset(flags), name, param_types, ret
+    return _flag_set(flags), name, param_types, ret
 
 
 def _frame_size(method: SmaliMethod) -> Optional[int]:
@@ -543,7 +579,13 @@ def _validate_registers(method: SmaliMethod) -> None:
 # splits fall where _parse_instruction puts them. ``where`` tells where the
 # registers are: the first n groups, the list in group 1 (_LIST) or the
 # bounds in groups 1 and 2 (_RANGE).
-_LREG = rf"[vp][0-9]{{1,{_MAX_DIGITS}}}"
+#
+# A register name has at most _MAX_DIGITS digits and a number of at most
+# _MAX_REGISTER (65535): up to four digits, or leading zeros and then up
+# to five digits.
+_LREG = (rf"[vp](?:[0-9]{{1,4}}|0{{0,{_MAX_DIGITS - 5}}}"
+         r"(?:[0-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}|655[0-2][0-9]|6553[0-5]"
+         r"|[0-9]{1,4}))")
 _R = f"({_LREG})"
 _TAIL = r"\s*(?:#.*)?"
 _TYPE = r"\[*(?:[ZBCSIJFD]|L[^;\s#,]+;)"
@@ -551,7 +593,7 @@ _METHOD = (r"(\[*(?:L[^;\s#,]+;|[ZBCSIJFD]))->([^(\s#,]+)"
            r"\(((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*)\)(V|" + _TYPE + ")")
 _TYPED = rf"{_R}\s*,\s*({_TYPE}){_TAIL}"
 _FIELD = rf"{_R}\s*,\s*{_R}\s*,\s*(\[*L[^;\s#,]+;)->([^:\s#,]+):({_TYPE}){_TAIL}"
-_LIST_REG_RE = re.compile(_LREG)
+_LIST_REG_RE = re.compile(r"[vp][0-9]+")   # the names of an accepted list
 _LIST, _RANGE = -1, -2
 
 
@@ -608,7 +650,8 @@ _CHECKS: dict[str, tuple[re.Pattern, OpKind, int, Callable[..., tuple]]] = {
 
 def _fast_registers(stripped: str) -> Optional[Sequence[str]]:
     """Register operands of an instruction line that the table accepts, ()
-    for an unsupported opcode, None for a rejected line.
+    for an unsupported opcode, None for a rejected line (such as one with a
+    register above the 16-bit range, or a /range list out of order).
 
     For a /range list only its bounds are returned: they hold the highest
     index, which is all the frame check needs.
@@ -657,7 +700,7 @@ def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
     return any(int(r[1:]) >= (total if r[0] == "v" else slots) for r in used)
 
 
-def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]:
+def _parse_method(lines: list[str], start: int, text: str) -> tuple[SmaliMethod, int]:
     """Validate one method; its instructions are built on first read."""
     flags, name, params, ret = _parse_method_header(lines[start].strip(), start)
     registers = locals_count = None
@@ -672,7 +715,7 @@ def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]
                 method = SmaliMethod(
                     name=name, param_types=params, return_type=ret, access_flags=flags,
                     registers=registers, locals_count=locals_count,
-                    header_line_index=start, end_line_index=i, lines=lines)
+                    header_line_index=start, end_line_index=i, text=text)
                 if _may_exceed_frame(method, used):
                     _validate_registers(method)
                 return method, i + 1
@@ -699,7 +742,7 @@ def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]
 def parse_unit(text: str) -> SmaliUnit:
     """Parse one smali class file.  The input must contain exactly one
     ``.class`` declaration; the returned unit re-emits the text unchanged."""
-    lines = tuple(text.split("\n"))
+    lines = text.split("\n")
     class_name: Optional[str] = None
     class_flags: frozenset[str] = frozenset()
     super_name: Optional[str] = None
@@ -720,7 +763,7 @@ def parse_unit(text: str) -> SmaliUnit:
             if len(toks) < 2 or not check_type_descriptor(toks[-1]) or not toks[-1].startswith("L"):
                 raise SmaliSyntaxError("malformed .class declaration", i + 1)
             class_name = toks[-1]
-            class_flags = frozenset(toks[1:-1])
+            class_flags = _flag_set(toks[1:-1])
             i += 1
         elif s.startswith(".super"):
             toks = s.split()
@@ -734,7 +777,7 @@ def parse_unit(text: str) -> SmaliUnit:
         elif s.startswith(".method"):
             if class_name is None:
                 raise SmaliSyntaxError(".method before .class declaration", i + 1)
-            method, i = _parse_method(lines, i)
+            method, i = _parse_method(lines, i, text)
             methods.append(method)
         elif s == ".end method":
             raise SmaliSyntaxError(".end method without matching .method", i + 1)
@@ -746,7 +789,7 @@ def parse_unit(text: str) -> SmaliUnit:
         raise SmaliSyntaxError("missing .class declaration", 1)
     return SmaliUnit(
         class_name=class_name, super_name=super_name, class_flags=class_flags,
-        fields=tuple(fields), methods=tuple(methods), lines=lines)
+        fields=tuple(fields), methods=tuple(methods), text=text)
 
 
 _FIELD_DECL_RE = re.compile(r"^\.field\s+((?:[\w-]+\s+)*)([^:\s]+):(\S+)(?:\s*=\s*(.+))?$")
@@ -760,22 +803,22 @@ def _parse_field_decl(raw: str, line_index: int) -> FieldDecl:
     if not check_type_descriptor(ftype):
         raise SmaliSyntaxError(f"bad field type descriptor '{ftype}'", line_index + 1)
     return FieldDecl(name=name, type_descriptor=ftype,
-                     access_flags=frozenset(flags_s.split()),
+                     access_flags=_flag_set(flags_s.split()),
                      line_index=line_index, raw_text=raw)
 
 
 def emit_unit(unit: SmaliUnit) -> str:
     """Render a unit back to source.  Total for valid units; untouched lines
     are reproduced verbatim."""
-    return "\n".join(unit.lines)
+    return unit.text
 
 
 def splice_lines(unit: SmaliUnit, start: int, count: int, new_lines: Sequence[str]) -> SmaliUnit:
     """Return a new unit with ``count`` lines at ``start`` replaced by
     ``new_lines`` (``count`` 0 inserts).  The result is re-parsed, so invalid
     replacements fail loudly instead of corrupting the unit."""
-    if start < 0 or start + count > len(unit.lines):
-        raise IndexError(f"splice [{start}, {start + count}) outside unit of {len(unit.lines)} lines")
-    lines = list(unit.lines)
-    lines[start:start + count] = list(new_lines)
+    lines = unit.text.split("\n")
+    if start < 0 or start + count > len(lines):
+        raise IndexError(f"splice [{start}, {start + count}) outside unit of {len(lines)} lines")
+    lines[start:start + count] = new_lines
     return parse_unit("\n".join(lines))

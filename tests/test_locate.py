@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -416,7 +417,7 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
     assert len(analysis.anchors) == 1
     (index,) = indexes
     built = [(rel, m) for rel, unit in index.by_path.items()
-             for m in unit.methods if "instructions" in vars(m)]
+             for m in unit.methods if m.instructions_built]
     assert built
     assert not any("/util/" in rel for rel, _ in built)   # no filler
     walked = {(unit, line) for s in analysis.slices for unit, line, _ in s.trace}
@@ -434,6 +435,22 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # indexing bytes
+
+
+def test_index_holds_each_class_about_once():
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    synth._add_fillers(files, "demoapp02/pad", random.Random(4), 1000)
+    data = {rel: text.encode() for rel, text in files.items() if rel.endswith(".smali")}
+    smali_bytes = sum(map(len, data.values()))
+    tracemalloc.start()
+    try:
+        index = locate.ClassIndex.from_files(data)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index.by_path) == len(data) > 1000
+    # The decoded text is one copy; a string per line would be two more.
+    assert held < 5 * smali_bytes, (held, smali_bytes)
 
 
 def test_index_of_bytes_reads_lines_as_disk_text_does(tmp_path):

@@ -1,3 +1,4 @@
+import difflib
 import os
 import random
 import warnings
@@ -31,6 +32,29 @@ def test_inject_writes_only_matched_apps(corpus, tmp_path):
     assert report.injected_apps == 12
     injectable = {e.truth.name for e in entries if e.truth.injectable}
     assert {p.name for p in workdir.iterdir()} == injectable
+
+
+def test_patching_a_crlf_tree_keeps_its_line_endings(tmp_path):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    crlf = {rel: text.replace("\n", "\r\n").encode()
+            for rel, text in files.items() if rel.endswith(".smali")}
+    synth.write_tree({**files, **crlf}, tmp_path / "corpus" / truth.name)
+    report = pipeline.run_pipeline(pipeline.collect_sources(tmp_path / "corpus"),
+                                   tmp_path / "work",
+                                   spec=PerturbationSpec(rotation_delta=90))
+    assert report.injected_apps == 1
+    tree = tmp_path / "work" / truth.name
+    changed = [rel for rel, data in crlf.items() if (tree / rel).read_bytes() != data]
+    assert changed == [next(rel for rel in files if "ImageHolder" in rel)]
+    before = crlf[changed[0]].splitlines(keepends=True)
+    after = (tree / changed[0]).read_bytes().splitlines(keepends=True)
+    edits = [(tag, before[i1:i2], after[j1:j2]) for tag, i1, i2, j1, j2 in
+             difflib.SequenceMatcher(None, before, after, autojunk=False).get_opcodes()
+             if tag != "equal"]
+    marker = inject.MARKER_FIELD.encode()
+    assert sorted(edits) == [
+        ("insert", [], [b"\r\n", marker + b"\r\n"]),
+        ("replace", [b"    const/16 p2, 0xb4\r\n"], [b"    const/16 p2, 0x10e\r\n"])]
 
 
 def test_work_tree_collision_fails_one_app_only(tmp_path):
@@ -201,6 +225,22 @@ def test_long_decimal_fails_only_its_own_class(tmp_path, method):
     files["smali/com/odd/Odd.smali"] = "\n".join([
         ".class public Lcom/odd/Odd;", ".super Ljava/lang/Object;",
         *method, "    return-void", ".end method", ""])
+    alone, by_source = _beside_good(tmp_path, files)
+    assert by_source["good.apk"] == alone and alone["injected"]
+    assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None
+
+
+def test_register_above_16_bits_fails_only_its_own_class(tmp_path):
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    files["smali/com/odd/Odd.smali"] = "\n".join([
+        ".class public Lcom/odd/Odd;", ".super Ljava/lang/Object;",
+        ".method public constructor <init>()V",
+        "    invoke-static/range {v0 .. v100000000}, La;->m()V",
+        "    return-void", ".end method", ""])
+    # Checked first: analysis builds every <init> it indexed, and this one
+    # would expand to 10^8 registers.
+    (issue,) = locate.ClassIndex.from_files(files).issues
+    assert issue[0] == "smali/com/odd/Odd.smali" and "v100000000" in issue[1]
     alone, by_source = _beside_good(tmp_path, files)
     assert by_source["good.apk"] == alone and alone["injected"]
     assert by_source["bad.apk"]["injected"] and by_source["bad.apk"]["error"] is None

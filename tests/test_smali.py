@@ -140,6 +140,34 @@ def test_register_out_of_range_rejected():
         smali.parse_unit(WRAPPER.replace("const/16 p2", "const/16 p3"))
 
 
+def _frameless_init(line):
+    return "\n".join([".class public LOdd;", ".super Ljava/lang/Object;",
+                      ".method public constructor <init>()V", "    " + line,
+                      "    return-void", ".end method", ""])
+
+
+@pytest.mark.parametrize("line", [
+    "invoke-static/range {v0 .. v100000000}, La;->m()V",
+    "invoke-static/range {p0 .. p65536}, La;->m()V",
+    "invoke-static {v0, v65536}, La;->m(II)V",
+    "move v0, v0065536",
+    "move-result v99999",
+])
+def test_register_above_16_bits_is_a_syntax_error(line):
+    # The method has no frame size, so only the 16-bit bound stops the line.
+    assert smali._fast_registers(line) is None
+    with pytest.raises(SmaliSyntaxError, match="above") as err:
+        smali.parse_unit(_frameless_init(line))
+    assert err.value.line == 4
+
+
+def test_register_at_16_bits_is_accepted():
+    line = "invoke-static/range {v65534 .. v065535}, La;->m(II)V"
+    assert smali._fast_registers(line) == ("v65534", "v065535")
+    (init,) = smali.parse_unit(_frameless_init(line)).methods
+    assert [r.name for r in init.instructions[0].invoke_registers] == ["v65534", "v65535"]
+
+
 def test_structural_errors():
     with pytest.raises(SmaliSyntaxError, match="\\.class"):
         smali.parse_unit(WRAPPER.replace(".class public final Lcom/demo/vision/Holder;\n", ""))
@@ -360,8 +388,10 @@ def _lazy_methods(text):
 # Operand pools: (well-formed, odd). An odd value may still be one the
 # parser accepts, e.g. a register with non-ASCII digits.
 _POOLS = {
-    "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10", "v" + "9" * 640],
-            ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x", "v" + "1" * 5000, "p" + "9" * 641]),
+    "reg": (["v0", "v1", "p0", "p1", "p2", "v7", "v15", "v00", "p10", "v65535",
+             "v" + "0" * 635 + "65535", "p" + "0" * 636 + "7"],
+            ["v٣", "pe", "v", "x1", "v-1", "V0", "v0x", "v" + "1" * 5000, "p" + "9" * 641,
+             "v65536", "v99999", "v" + "9" * 640, "v" + "0" * 641]),
     "lit": (["0x0", "0xb4", "-0x1", "180", "-8", "0X1F", "0x7fffffff", "00", "-0",
              "-" + "9" * 640, "0" * 640, "0x" + "f" * 5000],
             ["xb4", "0x", "1e3", "+1", "--1", "١٢", "٠٢", "0xg", "- 1", "02", "-010",
@@ -379,10 +409,11 @@ _POOLS = {
     "str": (['"abc"', '"a\\"b"', '"#x, y"', '""', '"a\\\\"', '"{v9}"'],
             ['"unterminated', '"a" # c', '"\\"', "'a'", '"a"b"']),
     "list": (["{v0, v1}", "{}", "{ }", "{p0}", "{v0 .. v3}", "{p0..p2}", "{v1 .. v1}",
-              "{v00, p1}", "{v00 .. v02}"],
+              "{v00, p1}", "{v00 .. v02}", "{v12345, p65535}", "{v65534 .. v065535}"],
              ["{v3 .. v0}", "{v0 .. p1}", "{v0,}", "{v0 v1}", "{pe}",
               "{v0 .. v1 .. v2}", "{v0", "v0}", "{v0 .. }", "{,}", "{v٣}", "{v0}}",
-              "{v" + "1" * 5000 + "}", "{v0 .. v" + "1" * 5000 + "}"]),
+              "{v" + "1" * 5000 + "}", "{v0 .. v" + "1" * 5000 + "}", "{v0, v65536}",
+              "{v0 .. v100000000}"]),
     "sep": ([", ", ",", " , ", "\t,  "], [",,", " ", ""]),
     "tail": (["", " # c", "#c", "   ", " #,x", "\t# }"], [" extra", " ,"]),
     "gap": ([" ", "\t", "  "], [" "]),
@@ -557,6 +588,35 @@ def test_first_out_of_range_register_is_reported(first, later, reported):
         smali.parse_unit(text)
     line = text.split("\n")[err.value.line - 1]
     assert line.strip() == first if reported != "p7" else line.strip() == later
+
+
+def test_unit_keeps_its_text_once_and_shares_flag_sets():
+    unit = smali.parse_unit(WRAPPER)
+    other = smali.parse_unit(WRAPPER.replace("Holder", "Other"))
+    assert unit.text is WRAPPER and unit.methods[0].text is WRAPPER
+    assert not hasattr(unit, "__dict__") and not hasattr(unit.methods[0], "__dict__")
+    assert unit.lines == tuple(WRAPPER.split("\n")) and unit.lines is not unit.lines
+    assert unit.class_flags is other.class_flags
+    assert unit.methods[0].access_flags is other.methods[0].access_flags
+    assert unit.fields[0].access_flags is other.fields[1].access_flags
+
+
+def test_records_compare_as_before_whether_built_or_not():
+    built, fresh = smali.parse_unit(WRAPPER), smali.parse_unit(WRAPPER)
+    assert built.methods[0].instructions and built.methods[0].instructions_built
+    assert not fresh.methods[0].instructions_built
+    assert built == fresh and hash(built) == hash(fresh)
+    assert built != smali.parse_unit(WRAPPER.replace("0xb4", "0x5a"))
+
+
+def test_flag_set_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(smali, "_FLAG_SETS", {})
+    units = [smali.parse_unit(f".class public f{i} LC{i};\n.super Ljava/lang/Object;\n")
+             for i in range(smali._MAX_FLAG_SETS + 10)]
+    assert len(smali._FLAG_SETS) == smali._MAX_FLAG_SETS
+    assert units[-1].class_flags == {"public", f"f{len(units) - 1}"}
+    again = smali.parse_unit(".class public f0 LD;\n.super Ljava/lang/Object;\n")
+    assert again.class_flags is units[0].class_flags
 
 
 def test_instructions_are_built_on_first_read(monkeypatch):
