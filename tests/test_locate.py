@@ -438,7 +438,7 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
 
 
 def test_index_holds_each_class_about_once():
-    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
     synth._add_fillers(files, "demoapp02/pad", random.Random(4), 1000)
     data = {rel: text.encode() for rel, text in files.items() if rel.endswith(".smali")}
     smali_bytes = sum(map(len, data.values()))
