@@ -224,20 +224,20 @@ class Instruction:
         return ()
 
 
-# Access-flag sets shared by the records of every unit, by their flags as
-# written. Class flags are not validated, so past _MAX_FLAG_SETS entries a
-# new set is returned unshared.
-_FLAG_SETS: dict[tuple[str, ...], frozenset[str]] = {}
+# Access-flag sets shared by the records of every unit. Class flags are not
+# validated, so only sets of known flags are shared, and past _MAX_FLAG_SETS
+# of them a new set is returned unshared.
+_FLAG_SETS: dict[frozenset[str], frozenset[str]] = {}
 _MAX_FLAG_SETS = 256
 
 
 def _flag_set(tokens: Sequence[str]) -> frozenset[str]:
-    written = tuple(tokens)
-    flags = _FLAG_SETS.get(written)
-    if flags is None:
-        flags = frozenset(written)
-        if len(_FLAG_SETS) < _MAX_FLAG_SETS:
-            _FLAG_SETS[written] = flags
+    flags = frozenset(tokens)
+    shared = _FLAG_SETS.get(flags)
+    if shared is not None:
+        return shared
+    if len(_FLAG_SETS) < _MAX_FLAG_SETS and flags <= KNOWN_ACCESS_FLAGS:
+        _FLAG_SETS[flags] = flags
     return flags
 
 
@@ -581,11 +581,12 @@ def _validate_registers(method: SmaliMethod) -> None:
 # bounds in groups 1 and 2 (_RANGE).
 #
 # A register name has at most _MAX_DIGITS digits and a number of at most
-# _MAX_REGISTER (65535): up to four digits, or leading zeros and then up
-# to five digits.
-_LREG = (rf"[vp](?:[0-9]{{1,4}}|0{{0,{_MAX_DIGITS - 5}}}"
-         r"(?:[0-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}|655[0-2][0-9]|6553[0-5]"
-         r"|[0-9]{1,4}))")
+# _MAX_REGISTER (65535). It matches in one way only: the leading zeros, then
+# a number without them, then no digit. (With two ways per name, a rejected
+# list of n registers would take 2^n steps to reject.)
+_LREG = (rf"[vp](?=[0-9]{{1,{_MAX_DIGITS}}}(?![0-9]))0*"
+         r"(?:[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}|655[0-2][0-9]|6553[0-5]"
+         r"|[1-9][0-9]{0,3})?(?![0-9])")
 _R = f"({_LREG})"
 _TAIL = r"\s*(?:#.*)?"
 _TYPE = r"\[*(?:[ZBCSIJFD]|L[^;\s#,]+;)"
@@ -593,7 +594,7 @@ _METHOD = (r"(\[*(?:L[^;\s#,]+;|[ZBCSIJFD]))->([^(\s#,]+)"
            r"\(((?:\[*(?:[ZBCSIJFD]|L[^;\s#,)]+;))*)\)(V|" + _TYPE + ")")
 _TYPED = rf"{_R}\s*,\s*({_TYPE}){_TAIL}"
 _FIELD = rf"{_R}\s*,\s*{_R}\s*,\s*(\[*L[^;\s#,]+;)->([^:\s#,]+):({_TYPE}){_TAIL}"
-_LIST_REG_RE = re.compile(r"[vp][0-9]+")   # the names of an accepted list
+_LIST_REG_RE = re.compile(_LREG)
 _LIST, _RANGE = -1, -2
 
 

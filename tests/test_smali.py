@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +163,29 @@ def test_register_above_16_bits_is_a_syntax_error(line):
     with pytest.raises(SmaliSyntaxError, match="above") as err:
         smali.parse_unit(_frameless_init(line))
     assert err.value.line == 4
+
+
+def test_rejected_register_list_is_rejected_in_linear_time():
+    # Each register name must match one way only: with two ways per name a
+    # rejected list of 40 takes about 2^40 steps, so the check runs in a
+    # child process that a timeout can stop.
+    script = """
+from prepatch import smali
+for names in (["v0"] * 40, ["v1234"] * 40, ["v00012"] * 40, ["p" + "0" * 600] * 40):
+    regs = ", ".join(names)
+    for line in ("invoke-static {%s}, La;->m()V x" % regs,
+                 "invoke-static {%s, La;->m()V" % regs):
+        assert smali._fast_registers(line) is None
+        try:
+            smali.parse_unit(".class LOdd;\\n.method m()V\\n" + line + "\\n.end method\\n")
+        except smali.SmaliSyntaxError:
+            continue
+        raise AssertionError(line)
+    line = "invoke-static {%s}, La;->m()V" % regs
+    assert smali._fast_registers(line) == names
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
 def test_register_at_16_bits_is_accepted():
@@ -611,12 +638,25 @@ def test_records_compare_as_before_whether_built_or_not():
 
 def test_flag_set_table_is_bounded(monkeypatch):
     monkeypatch.setattr(smali, "_FLAG_SETS", {})
-    units = [smali.parse_unit(f".class public f{i} LC{i};\n.super Ljava/lang/Object;\n")
-             for i in range(smali._MAX_FLAG_SETS + 10)]
+    # Unknown class flags written first take no room in the table.
+    for i in range(smali._MAX_FLAG_SETS + 10):
+        smali.parse_unit(f".class public f{i} LC{i};\n.super Ljava/lang/Object;\n")
+    assert smali._FLAG_SETS == {}
+    unit, other = smali.parse_unit(WRAPPER), smali.parse_unit(WRAPPER)
+    assert unit.class_flags is other.class_flags
+    assert unit.methods[0].access_flags is other.methods[0].access_flags
+    # A set is shared whatever order its flags are written in.
+    first = smali.parse_unit(".class public final LA;\n")
+    assert smali.parse_unit(".class final public LB;\n").class_flags is first.class_flags
+    # Known flags fill the table up to its bound, and no further.
+    known = sorted(smali.KNOWN_ACCESS_FLAGS)
+    combos = list(itertools.islice(itertools.combinations(known, 3), smali._MAX_FLAG_SETS))
+    units = [smali.parse_unit(f".class {' '.join(c)} LC;\n") for c in combos]
     assert len(smali._FLAG_SETS) == smali._MAX_FLAG_SETS
-    assert units[-1].class_flags == {"public", f"f{len(units) - 1}"}
-    again = smali.parse_unit(".class public f0 LD;\n.super Ljava/lang/Object;\n")
-    assert again.class_flags is units[0].class_flags
+    assert units[-1].class_flags == set(combos[-1])
+    assert units[-1].class_flags not in smali._FLAG_SETS
+    again = smali.parse_unit(".class public final LD;\n")
+    assert again.class_flags is first.class_flags
 
 
 def test_instructions_are_built_on_first_read(monkeypatch):
