@@ -7,12 +7,13 @@ over a corpus, and ``report`` renders a saved JSON report.
 
 Every command reads an app once with ``scan.load_app`` and indexes its
 classes once, as ``pipeline`` does; ``locate`` writes nothing. ``inject``
-patches a tree in place, extracting an archive to ``--workdir`` first; a
-dry run on an archive extracts nothing.
+plans a tree and an archive alike from that index and prints the plan's
+diff (``--dry-run``) or patches a tree in place. An archive is extracted
+to ``--workdir`` only to apply a plan that has patches.
 
-Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 marker or
-staleness stopped it, 4 the repack hook failed. ``pipeline`` exits 2 when
-no app matched anywhere and 5 on internal errors.
+Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 a marker, a
+stale plan or a held lock stopped it, 4 the repack hook failed.
+``pipeline`` exits 2 when no app matched anywhere and 5 on internal errors.
 """
 
 from __future__ import annotations
@@ -154,22 +155,6 @@ def _read_app(path: Path) -> Optional[scan.AppFiles]:
     return app
 
 
-def _tree_for(path: Path, workdir: Optional[str]) -> Optional[Path]:
-    """The tree to patch: ``path`` itself, or an archive extracted to ``workdir``."""
-    if path.is_dir():
-        return path
-    app = _read_app(path)
-    if app is None:
-        return None
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="prepatch-"))
-    base.mkdir(parents=True, exist_ok=True)
-    try:
-        return pipeline.materialize(path, base, app)
-    except scan.UnscannableApkError as exc:
-        print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
-        return None
-
-
 def cmd_locate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     app = _read_app(Path(args.path))
@@ -200,6 +185,11 @@ def cmd_locate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _blocked(exc: inject.InjectError) -> int:
+    print(f"blocked: {exc}", file=sys.stderr)
+    return EXIT_BLOCKED
+
+
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = _spec_from_args(args)
@@ -208,24 +198,19 @@ def cmd_inject(args: argparse.Namespace) -> int:
               "(use --rotation-delta, --width, ...)", file=sys.stderr)
         return EXIT_USAGE
     path = Path(args.tree)
-    tree = index = None
-    if args.dry_run and not path.is_dir():
-        # A dry run on an archive plans from the loaded app, writing nothing.
-        app = _read_app(path)
-        if app is None:
-            return EXIT_USAGE
-        index = locate.ClassIndex.from_files(app.data)
-    else:
-        tree = _tree_for(path, args.workdir)
-        if tree is None:
-            return EXIT_USAGE
-
     try:
-        plan = (inject.plan_injection(tree, spec) if tree is not None
-                else inject.plan_index(app.name, spec, index))
+        if path.is_dir():
+            inject.recover(path)
+    except inject.LockHeldError as exc:
+        return _blocked(exc)
+    app = _read_app(path)
+    if app is None:
+        return EXIT_USAGE
+    index = locate.ClassIndex.from_files(app.data)
+    try:
+        plan = inject.plan_index(app.name, spec, index)
     except inject.AlreadyInjectedError as exc:
-        print(f"blocked: {exc}", file=sys.stderr)
-        return EXIT_BLOCKED
+        return _blocked(exc)
     if not plan.patches:
         print("no matching constructors; nothing to patch", file=sys.stderr)
         _write_report(args.report, plan.to_dict())
@@ -235,18 +220,26 @@ def cmd_inject(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     if args.dry_run:
-        sys.stdout.write(inject.render_diff(tree, plan) if tree is not None
-                         else inject.render_index_diff(index, plan))
+        sys.stdout.write(inject.render_diff(index, plan))
         sys.stdout.write("\n")
         _write_report(args.report, plan.to_dict())
         return EXIT_OK
 
+    tree = path
+    if not path.is_dir():
+        base = Path(args.workdir) if args.workdir else \
+            Path(tempfile.mkdtemp(prefix="prepatch-"))
+        base.mkdir(parents=True, exist_ok=True)
+        try:
+            tree = pipeline.materialize(path, base, app)
+        except scan.UnscannableApkError as exc:
+            print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         result = inject.apply_plan(tree, plan)
     except (inject.AlreadyInjectedError, inject.StalePlanError,
             inject.LockHeldError) as exc:
-        print(f"blocked: {exc}", file=sys.stderr)
-        return EXIT_BLOCKED
+        return _blocked(exc)
 
     print(f"applied {result.applied} patches to "
           f"{len(result.files_changed)} files in {tree}")

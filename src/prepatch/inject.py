@@ -7,9 +7,9 @@ the tree before anything is written. Application writes only the touched
 files and is all-or-nothing: each edited file is staged in a sibling temp
 file, a journal beside the tree lists the staged files, and only then does
 each temp file replace its target. An apply that stopped part way is rolled
-forward (journal present) or back (temp files only) by the next plan or
-apply of that tree. A marker field left in every touched class makes a
-second injection fail fast.
+forward (journal present) or back (temp files only) by the next apply of
+that tree, or by a plan that indexes the tree itself. A marker field left
+in every touched class makes a second injection fail fast.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class InjectionResult:
     root: str
     applied: int
     files_changed: List[str]
-    diff: str
     repacked_to: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -261,14 +260,14 @@ def plan_index(name: str, spec: PerturbationSpec, index: locate.ClassIndex,
 def plan_injection(root: Path, spec: PerturbationSpec,
                    matches: Optional[Sequence[ConstructorMatch]] = None,
                    index: Optional[locate.ClassIndex] = None) -> InjectionPlan:
-    """Build a patch plan for one tree, after recovering it (see
-    ``plan_index``).
+    """Build a patch plan for one tree (see ``plan_index``).
 
     ``index`` is the tree's class index when the caller already has one;
-    without it the tree is indexed once here. Lines come from the index, so
-    planning reads nothing else."""
-    recover(root)
+    planning then reads nothing from the tree. Without it the tree is first
+    recovered (see ``recover``) and then indexed once here. ``apply_plan``
+    recovers the tree again under its lock either way."""
     if index is None:
+        recover(root)
         index = locate.ClassIndex.from_tree(root)
     return plan_index(root.name, spec, index, matches)
 
@@ -313,11 +312,6 @@ def _patched(text: _Text, rel: str, patches: Sequence[Patch]) -> _Text:
     return _verify_and_edit(out, [_marker_patch(out.lines, rel)])
 
 
-def _diff(rel: str, old: Sequence[str], new: Sequence[str]) -> str:
-    return "\n".join(difflib.unified_diff(
-        old, new, fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm=""))
-
-
 def _by_file(plan: InjectionPlan) -> Dict[str, List[Patch]]:
     grouped: Dict[str, List[Patch]] = {}
     for patch in plan.patches:
@@ -325,29 +319,15 @@ def _by_file(plan: InjectionPlan) -> Dict[str, List[Patch]]:
     return grouped
 
 
-def _read_touched(root: Path, plan: InjectionPlan) -> Dict[str, _Text]:
-    return {rel: _read_text(root, rel) for rel in _by_file(plan)}
-
-
-def _edit(current: Dict[str, _Text], plan: InjectionPlan
-          ) -> Tuple[Dict[str, _Text], str]:
-    """Every touched file after its patches, and the unified diff."""
-    edited, chunks = {}, []
-    for rel, patches in _by_file(plan).items():
-        edited[rel] = _patched(current[rel], rel, patches)
-        chunks.append(_diff(rel, current[rel].lines, edited[rel].lines))
-    return edited, "\n".join(chunk for chunk in chunks if chunk)
-
-
-def render_diff(root: Path, plan: InjectionPlan) -> str:
-    """Unified diff of the plan against the current tree, without writing."""
-    return _edit(_read_touched(root, plan), plan)[1]
-
-
-def render_index_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
+def render_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
     """Unified diff of the plan against the indexed lines, without writing."""
-    return _edit({rel: _Text.of(index.by_path[rel].text) for rel in _by_file(plan)},
-                 plan)[1]
+    chunks = []
+    for rel, patches in _by_file(plan).items():
+        text = _Text.of(index.by_path[rel].text)
+        chunks.append("\n".join(difflib.unified_diff(
+            text.lines, _patched(text, rel, patches).lines,
+            fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm="")))
+    return "\n".join(chunk for chunk in chunks if chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +497,20 @@ def _commit(root: Path, edited: Dict[str, _Text]) -> None:
 def apply_plan(root: Path, plan: InjectionPlan) -> InjectionResult:
     """Apply a plan to the tree, rewriting only the touched files."""
     if not plan.patches:
-        return InjectionResult(root=root.name, applied=0, files_changed=[],
-                               diff="")
+        return InjectionResult(root=root.name, applied=0, files_changed=[])
     with _locked(root):
         _recover(root)
-        current = _read_touched(root, plan)
+        by_file = _by_file(plan)
+        current = {rel: _read_text(root, rel) for rel in by_file}
+        # Every touched file is checked for the marker before any span.
         for rel, text in current.items():
             if has_marker("\n".join(text.lines)):
                 raise AlreadyInjectedError(f"{rel} already carries the marker")
-        edited, diff = _edit(current, plan)
-        _commit(root, edited)
+        _commit(root, {rel: _patched(current[rel], rel, patches)
+                       for rel, patches in by_file.items()})
 
     return InjectionResult(root=root.name, applied=len(plan.patches),
-                           files_changed=plan.touched_files, diff=diff)
+                           files_changed=plan.touched_files)
 
 
 def repack(root: Path, command_template: str,

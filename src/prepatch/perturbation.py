@@ -72,17 +72,3 @@ class PerturbationSpec:
             "format_override": self.format_override,
             "normalize_rotation": self.normalize_rotation,
         }
-
-    def describe(self) -> str:
-        parts = []
-        if self.rotation_override is not None:
-            parts.append(f"rotation={self.rotation_override}")
-        if self.rotation_delta is not None:
-            parts.append(f"rotation+={self.rotation_delta}")
-        if self.width_override is not None:
-            parts.append(f"width={self.width_override}")
-        if self.height_override is not None:
-            parts.append(f"height={self.height_override}")
-        if self.format_override is not None:
-            parts.append(f"format={self.format_override}")
-        return ", ".join(parts) if parts else "no-op"

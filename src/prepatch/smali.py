@@ -196,13 +196,6 @@ class Instruction:
         return None
 
     @property
-    def string_value(self) -> Optional[str]:
-        for op in self.operands:
-            if isinstance(op, StringLiteral):
-                return op.text
-        return None
-
-    @property
     def field_ref(self) -> Optional[FieldRef]:
         for op in self.operands:
             if isinstance(op, FieldRef):
@@ -239,15 +232,6 @@ def _flag_set(tokens: Sequence[str]) -> frozenset[str]:
     if len(_FLAG_SETS) < _MAX_FLAG_SETS and flags <= KNOWN_ACCESS_FLAGS:
         _FLAG_SETS[flags] = flags
     return flags
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class FieldDecl:
-    name: str
-    type_descriptor: str
-    access_flags: frozenset[str]
-    line_index: int
-    raw_text: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -311,7 +295,6 @@ class SmaliUnit:
     class_name: str
     super_name: Optional[str]
     class_flags: frozenset[str]
-    fields: tuple[FieldDecl, ...]
     methods: tuple[SmaliMethod, ...]
     text: str = field(repr=False)
 
@@ -747,13 +730,11 @@ def parse_unit(text: str) -> SmaliUnit:
     class_name: Optional[str] = None
     class_flags: frozenset[str] = frozenset()
     super_name: Optional[str] = None
-    fields: list[FieldDecl] = []
     methods: list[SmaliMethod] = []
 
     i = 0
     while i < len(lines):
-        raw = lines[i]
-        s = raw.strip()
+        s = lines[i].strip()
         if not s or s.startswith("#"):
             i += 1
             continue
@@ -773,7 +754,7 @@ def parse_unit(text: str) -> SmaliUnit:
             super_name = toks[1]
             i += 1
         elif s.startswith(".field"):
-            fields.append(_parse_field_decl(raw, i))
+            _check_field_decl(s, i)
             i += 1
         elif s.startswith(".method"):
             if class_name is None:
@@ -790,22 +771,20 @@ def parse_unit(text: str) -> SmaliUnit:
         raise SmaliSyntaxError("missing .class declaration", 1)
     return SmaliUnit(
         class_name=class_name, super_name=super_name, class_flags=class_flags,
-        fields=tuple(fields), methods=tuple(methods), text=text)
+        methods=tuple(methods), text=text)
 
 
 _FIELD_DECL_RE = re.compile(r"^\.field\s+((?:[\w-]+\s+)*)([^:\s]+):(\S+)(?:\s*=\s*(.+))?$")
 
 
-def _parse_field_decl(raw: str, line_index: int) -> FieldDecl:
-    m = _FIELD_DECL_RE.match(raw.strip())
+def _check_field_decl(s: str, line_index: int) -> None:
+    """Validate a stripped ``.field`` line; no record of it is kept."""
+    m = _FIELD_DECL_RE.match(s)
     if not m:
         raise SmaliSyntaxError("malformed .field declaration", line_index + 1)
-    flags_s, name, ftype, _init = m.groups()
+    ftype = m.group(3)
     if not check_type_descriptor(ftype):
         raise SmaliSyntaxError(f"bad field type descriptor '{ftype}'", line_index + 1)
-    return FieldDecl(name=name, type_descriptor=ftype,
-                     access_flags=_flag_set(flags_s.split()),
-                     line_index=line_index, raw_text=raw)
 
 
 def emit_unit(unit: SmaliUnit) -> str:

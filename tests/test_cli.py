@@ -1,11 +1,12 @@
 import json
+import os
 import random
 import tempfile
 import zipfile
 
 import pytest
 
-from prepatch import cli, inject, smali, synth
+from prepatch import cli, inject, scan, smali, synth
 
 
 def run(args, capsys):
@@ -164,6 +165,60 @@ def test_inject_dry_run_on_archive_writes_nothing(corpus, tmp_path, capsys,
     assert list(temp.iterdir()) == []
 
 
+def test_inject_archive_reads_once_and_parses_each_class_once(
+        corpus, tmp_path, capsys, monkeypatch):
+    apk = corpus[0] / "app02_s2.apk"
+    loads, parses = [], []
+    real_load, real_parse = scan.load_app, smali.parse_unit
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    def counting_parse(text):
+        parses.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(scan, "load_app", counting_load)
+    monkeypatch.setattr(smali, "parse_unit", counting_parse)
+    workdir = tmp_path / "w"
+    code, out, _ = run(["inject", str(apk), "--rotation-delta", "90",
+                        "--workdir", str(workdir)], capsys)
+    assert code == 0 and "applied 1 patches to 1 files" in out
+    assert loads == [apk]
+    with zipfile.ZipFile(apk) as zf:
+        assert len(parses) == sum(n.endswith(".smali") for n in zf.namelist())
+    assert [p.name for p in workdir.iterdir()] == ["app02_s2"]
+
+
+def _marked_archive(source, target):
+    """A copy of the archive ``source`` whose wrapper class carries the marker."""
+    with zipfile.ZipFile(source) as zf:
+        files = {name: zf.read(name) for name in zf.namelist()}
+    rel = next(name for name in files if "ImageHolder" in name)
+    files[rel] += (inject.MARKER_FIELD + "\n").encode()
+    target.write_bytes(synth.zip_app(files))
+    return target
+
+
+@pytest.mark.parametrize("app, code, message", [
+    ("app12_negative", cli.EXIT_NO_TARGETS, "nothing to patch"),
+    ("app15_nondl", cli.EXIT_NO_TARGETS, "nothing to patch"),
+    ("marked", cli.EXIT_BLOCKED, "already carries"),
+])
+def test_inject_archive_with_nothing_to_patch_extracts_nothing(
+        corpus, tmp_path, capsys, app, code, message):
+    apk = corpus[0] / f"{app}.apk"
+    if app == "marked":
+        apk = _marked_archive(corpus[0] / "app02_s2.apk", tmp_path / "marked.apk")
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    got, _, err = run(["inject", str(apk), "--rotation-delta", "90",
+                       "--workdir", str(workdir)], capsys)
+    assert got == code and message in err
+    assert list(workdir.iterdir()) == []
+
+
 def test_inject_parses_each_class_once(tree, capsys, monkeypatch):
     calls = []
     real_parse = smali.parse_unit
@@ -228,18 +283,28 @@ def test_inject_report_payload(tree, tmp_path, capsys):
 
 
 def test_inject_stale_tree_blocked(tree, capsys, monkeypatch):
-    real_plan = inject.plan_injection
+    real_plan = inject.plan_index
 
-    def plan_then_mutate(root, spec, matches=None):
-        plan = real_plan(root, spec, matches)
-        target = root / plan.patches[0].unit_path
+    def plan_then_mutate(name, spec, index, matches=None):
+        plan = real_plan(name, spec, index, matches)
+        target = tree / plan.patches[0].unit_path
         target.write_text(target.read_text().replace("0xb4", "0x2d"))
         return plan
 
-    monkeypatch.setattr(inject, "plan_injection", plan_then_mutate)
+    monkeypatch.setattr(inject, "plan_index", plan_then_mutate)
     code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == cli.EXIT_BLOCKED
     assert "changed since planning" in err
+
+
+def test_inject_tree_with_a_held_lock_to_recover_is_blocked(tree, capsys):
+    (tree.parent / (tree.name + inject.JOURNAL_SUFFIX)).write_text("[]\n")
+    lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
+    lock.write_text(json.dumps({"pid": os.getpid(), "host": os.uname().nodename,
+                                "time": "t"}) + "\n")
+    code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
+    assert code == cli.EXIT_BLOCKED and f"pid {os.getpid()}" in err
+    assert lock.exists()
 
 
 # ---------------------------------------------------------------------------

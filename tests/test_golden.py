@@ -6,7 +6,9 @@ The files under ``tests/data/`` were written by the CLI on the
 * ``pipeline_report.json``: ``prepatch pipeline CORPUS --report``;
 * ``pipeline_report_rot90.json``: the same with ``--rotation-delta 90``;
 * ``injected_rot90.sha256``: ``sha256sum`` of every file of the trees that
-  run wrote, paths relative to its work directory, in byte order;
+  run wrote, paths relative to its work directory, in byte order
+  (``prepatch inject APP.apk --rotation-delta 90 --workdir W`` writes the
+  same tree for each app);
 * ``locate_app02_s2.json``: ``prepatch locate app02_s2.apk --report``.
 
 A change that alters any of these bytes changes what the tool reports or
@@ -63,3 +65,15 @@ def test_locate_report_matches_golden(golden_corpus, tmp_path, capsys):
     capsys.readouterr()
     assert report.read_bytes() == \
         (DATA / "locate_app02_s2.json").read_bytes()
+
+
+def test_inject_archive_writes_the_golden_tree(golden_corpus, tmp_path, capsys):
+    workdir = tmp_path / "work"
+    assert cli.main(["inject", str(golden_corpus / "app02_s2.apk"),
+                     "--rotation-delta", "90",
+                     "--workdir", str(workdir)]) == cli.EXIT_OK
+    capsys.readouterr()
+    golden = (DATA / "injected_rot90.sha256").read_text(encoding="utf-8")
+    assert _tree_digests(workdir) == "".join(
+        line for line in golden.splitlines(keepends=True)
+        if line.split("  ", 1)[1].startswith("./app02_s2/"))

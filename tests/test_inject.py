@@ -214,11 +214,26 @@ def test_lock_file_blocks_concurrent_apply(app_tree):
     assert not lock.exists()
 
 
+def test_marker_check_runs_on_every_file_before_any_span(tmp_path):
+    tree = _three_wrapper_tree(tmp_path)
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    stale, marked = plan.touched_files[:2]
+    line = next(p for p in plan.patches if p.unit_path == stale).original_lines[0]
+    path = tree / stale
+    path.write_text(path.read_text().replace(line, line + "  # edited"))
+    path = tree / marked
+    path.write_text(path.read_text() + inject.MARKER_FIELD + "\n")
+    before = snapshot(tree)
+    with pytest.raises(inject.AlreadyInjectedError, match=marked):
+        inject.apply_plan(tree, plan)
+    assert snapshot(tree) == before
+
+
 def test_render_diff_is_read_only(app_tree):
     tree, _, _ = app_tree("s2", 2)
     before = snapshot(tree)
     plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
-    diff = inject.render_diff(tree, plan)
+    diff = inject.render_diff(locate.ClassIndex.from_tree(tree), plan)
     assert snapshot(tree) == before
     assert "-    const/16 p2, 0xb4" in diff
     assert "+    const/16 p2, 0x10e" in diff
@@ -228,7 +243,7 @@ def test_render_diff_is_read_only(app_tree):
 def test_diff_line_budget_is_minimal(app_tree):
     tree, _, _ = app_tree("s2", 2)
     plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
-    diff = inject.render_diff(tree, plan)
+    diff = inject.render_diff(locate.ClassIndex.from_tree(tree), plan)
     removed = [l for l in diff.split("\n")
                if l.startswith("-") and not l.startswith("---")]
     added = [l for l in diff.split("\n")

@@ -1,6 +1,7 @@
 import difflib
 import os
 import random
+import signal
 import warnings
 import zipfile
 
@@ -265,3 +266,45 @@ def test_stage_failure_fails_only_its_own_app(tmp_path, monkeypatch, stage, owne
     assert by_source["good.apk"] == alone and alone["injected"]
     assert by_source["bad.apk"]["error"] == f"{stage}: RuntimeError: boom"
     assert not by_source["bad.apk"]["injected"]
+
+
+def test_each_injected_tree_is_walked_once(corpus, tmp_path, monkeypatch):
+    root, entries = corpus
+    walked, real = [], inject._temp_files
+
+    def spy(tree):
+        walked.append(tree.name)
+        return real(tree)
+    monkeypatch.setattr(inject, "_temp_files", spy)
+    report = pipeline.run_pipeline(pipeline.collect_sources(root), tmp_path / "work",
+                                   spec=PerturbationSpec(rotation_delta=90))
+    assert report.injected_apps == 12
+    assert sorted(walked) == sorted(e.truth.name for e in entries
+                                    if e.truth.injectable)
+
+
+def test_rerun_after_a_killed_apply_still_injects(tmp_path):
+    apk = tmp_path / "app.apk"
+    _archive(apk, "s2", 2)
+    spec = PerturbationSpec(rotation_delta=90)
+    clean = pipeline.run_pipeline([apk], tmp_path / "clean", spec=spec)
+
+    workdir = tmp_path / "work"
+    pid = os.fork()
+    if pid == 0:
+        try:
+            def killed(src, dst):
+                os.kill(os.getpid(), signal.SIGKILL)
+            inject.os.replace = killed
+            pipeline.run_pipeline([apk], workdir, spec=spec)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert sorted(p.name for p in workdir.iterdir()) == \
+        ["app", "app" + inject.JOURNAL_SUFFIX, "app" + inject.LOCK_SUFFIX]
+
+    rerun = pipeline.run_pipeline([apk], workdir, spec=spec)
+    assert rerun.to_dict() == clean.to_dict() and rerun.injected_apps == 1
+    assert sorted(p.name for p in workdir.iterdir()) == ["app"]
+    assert _snapshot(workdir) == _snapshot(tmp_path / "clean")

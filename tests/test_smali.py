@@ -61,7 +61,6 @@ def test_unit_structure():
     assert unit.class_name == "Lcom/demo/vision/Holder;"
     assert unit.super_name == "Ljava/lang/Object;"
     assert "final" in unit.class_flags
-    assert [f.name for f in unit.fields] == ["zza", "zzd"]
     (ctor,) = unit.methods
     assert ctor.is_constructor and not ctor.is_static
     assert ctor.signature == "<init>(Landroid/graphics/Bitmap;I)V"
@@ -625,7 +624,6 @@ def test_unit_keeps_its_text_once_and_shares_flag_sets():
     assert unit.lines == tuple(WRAPPER.split("\n")) and unit.lines is not unit.lines
     assert unit.class_flags is other.class_flags
     assert unit.methods[0].access_flags is other.methods[0].access_flags
-    assert unit.fields[0].access_flags is other.fields[1].access_flags
 
 
 def test_records_compare_as_before_whether_built_or_not():
