@@ -8,8 +8,9 @@ over a corpus, and ``report`` renders a saved JSON report.
 Every command reads an app once with ``scan.load_app`` and indexes its
 classes once, as ``pipeline`` does; ``locate`` writes nothing. ``inject``
 plans a tree and an archive alike from that index and prints the plan's
-diff (``--dry-run``) or patches a tree in place. An archive is extracted
-to ``--workdir`` only to apply a plan that has patches.
+diff (``--dry-run``, which writes nothing, not even to recover a tree) or
+patches a tree in place. An archive is extracted to ``--workdir``, and
+``pipeline`` writes an app, only to apply a plan that has patches.
 
 Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 a marker, a
 stale plan or a held lock stopped it, 4 the repack hook failed.
@@ -198,15 +199,18 @@ def cmd_inject(args: argparse.Namespace) -> int:
               "(use --rotation-delta, --width, ...)", file=sys.stderr)
         return EXIT_USAGE
     path = Path(args.tree)
-    try:
-        if path.is_dir():
+    if path.is_dir() and not args.dry_run:
+        try:
             inject.recover(path)
-    except inject.LockHeldError as exc:
-        return _blocked(exc)
+        except inject.LockHeldError as exc:
+            return _blocked(exc)
     app = _read_app(path)
     if app is None:
         return EXIT_USAGE
-    index = locate.ClassIndex.from_files(app.data)
+    data = app.data
+    if path.is_dir() and args.dry_run:
+        data = inject.recovered_data(path, data)
+    index = locate.ClassIndex.from_files(data)
     try:
         plan = inject.plan_index(app.name, spec, index)
     except inject.AlreadyInjectedError as exc:
@@ -231,7 +235,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
             Path(tempfile.mkdtemp(prefix="prepatch-"))
         base.mkdir(parents=True, exist_ok=True)
         try:
-            tree = pipeline.materialize(path, base, app)
+            tree = pipeline.materialize(app, base)
         except scan.UnscannableApkError as exc:
             print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
             return EXIT_USAGE

@@ -8,8 +8,9 @@ files and is all-or-nothing: each edited file is staged in a sibling temp
 file, a journal beside the tree lists the staged files, and only then does
 each temp file replace its target. An apply that stopped part way is rolled
 forward (journal present) or back (temp files only) by the next apply of
-that tree, or by a plan that indexes the tree itself. A marker field left
-in every touched class makes a second injection fail fast.
+that tree, or by a plan that indexes the tree itself; ``recovered_data``
+gives the recovered view of a tree's files without writing it. A marker
+field left in every touched class makes a second injection fail fast.
 """
 
 from __future__ import annotations
@@ -244,9 +245,7 @@ def plan_index(name: str, spec: PerturbationSpec, index: locate.ClassIndex,
     if marked is not None:
         raise AlreadyInjectedError(f"{marked} already carries {MARKER_FIELD!r}")
     if matches is None:
-        matches = []
-        for rel in index.owned_paths():
-            matches.extend(locate.match_constructors(index.by_path[rel], rel))
+        matches = locate.match_index(index)
 
     plan = InjectionPlan(root=name, spec=spec, matches=list(matches))
     for match in matches:
@@ -444,22 +443,33 @@ def _write_journal(root: Path, staged: Sequence[str]) -> None:
                                              encoding="utf-8")
 
 
+def _staged(root: Path) -> List[str]:
+    """The files the journal beside ``root`` lists: none without a journal,
+    or with a torn one, which is written in full before any replace, so
+    nothing was replaced yet and the temp files are rolled back."""
+    try:
+        return json.loads(_beside(root, JOURNAL_SUFFIX).read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return []
+
+
 def _recover(root: Path) -> None:
-    journal = _beside(root, JOURNAL_SUFFIX)
-    if journal.exists():
-        try:
-            staged = json.loads(journal.read_text(encoding="utf-8"))
-        except ValueError:
-            # Torn journal: it is written in full before any replace, so
-            # nothing was replaced yet and the temp files are rolled back.
-            staged = []
-        for rel in staged:
-            temp = _temp_path(root / rel)
-            if temp.exists():
-                os.replace(temp, root / rel)
-        journal.unlink()
+    for rel in _staged(root):
+        temp = _temp_path(root / rel)
+        if temp.exists():
+            os.replace(temp, root / rel)
+    _beside(root, JOURNAL_SUFFIX).unlink(missing_ok=True)
     for temp in _temp_files(root):
         temp.unlink()
+
+
+def recovered_data(root: Path, data: Dict[str, bytes]) -> Dict[str, bytes]:
+    """``data``, the files read from ``root``, as ``recover`` would leave
+    them, writing nothing: each file the journal staged holds its temp
+    file's bytes (temp files are never read entries)."""
+    temps = [(rel, _temp_path(root / rel)) for rel in _staged(root)]
+    return {**data, **{rel: temp.read_bytes() for rel, temp in temps
+                       if temp.exists()}}
 
 
 def recover(root: Path) -> None:

@@ -747,6 +747,14 @@ def match_constructors(unit: SmaliUnit, unit_path: str) -> List[ConstructorMatch
     return promoted
 
 
+def match_index(index: ClassIndex) -> List[ConstructorMatch]:
+    """Strategy matches of every class the index owns, in path order."""
+    matches: List[ConstructorMatch] = []
+    for rel_path in index.owned_paths():
+        matches.extend(match_constructors(index.by_path[rel_path], rel_path))
+    return matches
+
+
 # ---------------------------------------------------------------------------
 # whole-tree analysis
 
@@ -773,21 +781,13 @@ class AnalysisResult:
 
 def analyze_index(index: ClassIndex, name: str, depth: int = 1) -> AnalysisResult:
     anchors = find_anchors(index)
-    result = AnalysisResult(root=name, units=len(index.by_path),
-                            anchors=anchors, issues=list(index.issues))
-    for anchor in anchors:
-        result.slices.append(backward_slice(index, anchor, depth=depth))
-    for rel_path in index.owned_paths():
-        result.matches.extend(match_constructors(index.by_path[rel_path], rel_path))
-    return result
-
-
-def analyze_tree(root: Path, depth: int = 1) -> AnalysisResult:
-    """Run anchor finding, slicing and constructor matching over one tree."""
-    return analyze_index(ClassIndex.from_tree(root), root.name, depth)
+    slices = [backward_slice(index, anchor, depth=depth) for anchor in anchors]
+    return AnalysisResult(root=name, units=len(index.by_path), anchors=anchors,
+                          slices=slices, matches=match_index(index),
+                          issues=list(index.issues))
 
 
 def analyze_files(files: Dict[str, object], name: str = "",
                   depth: int = 1) -> AnalysisResult:
-    """Same as analyze_tree but over an in-memory path->text mapping."""
+    """``analyze_index`` over an in-memory path -> text mapping."""
     return analyze_index(ClassIndex.from_files(files), name, depth)

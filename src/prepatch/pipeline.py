@@ -2,9 +2,9 @@
 
 Apps are processed one after another. Each one is read once into memory
 (every entry name, plus the bytes of its smali files and manifest), and
-the scan, the class index and constructor matching all run from that map.
-Only a DL app that a perturbation spec applies to and that has a match is
-written to the working directory, and then patched in place; a census run
+the scan, the class index, constructor matching and the injection plan
+all run from that map. A DL app is written to the working directory only
+when its plan has patches, and then patched in place; a census run
 without a spec writes nothing. The report carries only app names and
 tree-relative paths, so a rerun over the same corpus produces identical
 bytes.
@@ -91,11 +91,6 @@ class PipelineReport:
         }
 
 
-def tree_name(source: Path) -> str:
-    """Name of the work tree an app source materializes to."""
-    return source.stem if source.is_file() else source.name
-
-
 def _write_file(path: str, data: bytes) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
@@ -106,19 +101,17 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def materialize(source: Path, workdir: Path,
-                app: Optional[scan.AppFiles] = None) -> Path:
-    """Write an app as a tree in the working directory.
+def materialize(app: scan.AppFiles, workdir: Path) -> Path:
+    """Write a loaded app as the tree ``workdir / app.name``.
 
-    Read entries (smali and manifest) come from ``app``, loaded from
-    ``source`` when not given; every other entry is copied from the source,
-    and the archive is opened again only when it has such entries.
+    Read entries (smali and manifest) come from ``app``; every other entry
+    is copied from its source, and an archive is opened again only when it
+    has such entries.
     """
-    if app is None:
-        app = scan.load_app(source)
+    source = app.source
     if app.unsafe_entry is not None:
         raise scan.UnscannableApkError(source, f"unsafe entry {app.unsafe_entry!r}")
-    tree = workdir / tree_name(source)
+    tree = workdir / app.name
     if tree.exists():
         shutil.rmtree(tree)
     tree.mkdir(parents=True)
@@ -196,14 +189,15 @@ def process_app(source: Path, workdir: Path,
         if spec is None or not analysis.matches:
             return outcome
         if taken_by is not None:
-            outcome.error = (f"work tree {tree_name(source)!r} belongs to "
+            outcome.error = (f"work tree {app.name!r} belongs to "
                              f"{taken_by}; not injected")
             return outcome
-        stage = "materialize"
-        tree = materialize(source, workdir, app)
         stage = "plan"
-        plan = inject.plan_injection(tree, spec, analysis.matches, index=index)
+        plan = inject.plan_injection(workdir / app.name, spec,
+                                     analysis.matches, index=index)
         if plan.patches:
+            stage = "materialize"
+            tree = materialize(app, workdir)
             stage = "apply"
             result = inject.apply_plan(tree, plan)
             outcome.injected = True
@@ -239,7 +233,7 @@ def run_pipeline(sources: Sequence[Path], workdir: Path,
     owners: Dict[str, Path] = {}
     outcomes = []
     for source in sorted(sources, key=lambda p: p.name):
-        owner = owners.setdefault(tree_name(source), source)
+        owner = owners.setdefault(scan.app_name(source), source)
         taken_by = None if owner is source else owner.name
         outcome = process_app(source, workdir, spec, depth, taken_by=taken_by)
         log.debug("processed %s: dl=%s strategies=%s injected=%s",

@@ -111,6 +111,11 @@ def tree_order(rel_path: str) -> List[str]:
     return rel_path.split("/")
 
 
+def app_name(path: Path) -> str:
+    """An app's name: an archive's stem, otherwise the path's name."""
+    return path.stem if path.is_file() else path.name
+
+
 def _is_unsafe(name: str) -> bool:
     """True if an archive entry would land outside its extraction directory."""
     return name.startswith(("/", "\\")) or ".." in name.split("/")
@@ -211,7 +216,7 @@ def _load_archive(path: Path) -> AppFiles:
         raise UnscannableApkError(path, str(exc)) from exc
     unsafe = next((name for name in names if _is_unsafe(name)), None)
     dirs = tuple(name for name in names if name.endswith("/"))
-    return AppFiles(path.stem, path, entries, data, unsafe, dirs)
+    return AppFiles(app_name(path), path, entries, data, unsafe, dirs)
 
 
 def _read_file(path: str) -> bytes:
@@ -249,7 +254,7 @@ def _load_tree(root: Path) -> AppFiles:
             pass
     entries.sort(key=tree_order)
     data = {rel: _read_file(f"{root}/{rel}") for rel in entries if _is_read(rel)}
-    return AppFiles(root.name, root, tuple(entries), data)
+    return AppFiles(app_name(root), root, tuple(entries), data)
 
 
 def load_app(path: Path) -> AppFiles:
@@ -304,8 +309,8 @@ def classify(app: AppFiles) -> DlVerdict:
 
 def unscannable(path: Path, reason: str) -> DlVerdict:
     """The verdict of an app that could not be read."""
-    return DlVerdict(app=path.stem if path.is_file() else path.name,
-                     path=str(path), is_dl=False, error=reason)
+    return DlVerdict(app=app_name(path), path=str(path), is_dl=False,
+                     error=reason)
 
 
 def scan_path(path: Path) -> DlVerdict:

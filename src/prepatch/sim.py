@@ -110,10 +110,17 @@ class OpCount:
     def total(self) -> int:
         return self.resize + self.rotate + self.normalize
 
-    def add(self, other: "OpCount") -> None:
-        self.resize += other.resize
-        self.rotate += other.rotate
-        self.normalize += other.normalize
+
+def pixel_ops(count: int, preview: SizePair, rotation: int,
+              do_normalize: bool) -> OpCount:
+    """Op counts of ``count`` images through ``preprocess``: both resizes
+    write every output pixel, a rotation writes the preview once more and
+    normalization touches the model input."""
+    pixels = preview.width * preview.height
+    model = MODEL_INPUT[0] * MODEL_INPUT[1]
+    return OpCount(resize=count * (pixels + model),
+                   rotate=count * pixels if rotation % 360 else 0,
+                   normalize=count * model if do_normalize else 0)
 
 
 def nn_resize(image: np.ndarray, out_height: int, out_width: int,
@@ -340,15 +347,10 @@ def run_once(images: np.ndarray, template: np.ndarray, preview: SizePair,
         frames = normalize(frames)
         reference = normalize(template)
     scores = [ncc(frame, reference) for frame in frames]
-
-    pixels = preview.width * preview.height
-    model = MODEL_INPUT[0] * MODEL_INPUT[1]
-    ops = OpCount(resize=count * (pixels + model),
-                  rotate=count * pixels if rotation % 360 else 0,
-                  normalize=count * model if do_normalize else 0)
     return RunResult(label=label, rotation=rotation,
                      detections=sum(score >= threshold for score in scores),
-                     total=count, scores=scores, ops=ops)
+                     total=count, scores=scores,
+                     ops=pixel_ops(count, preview, rotation, do_normalize))
 
 
 def run_experiment(spec: PerturbationSpec, image_count: int = 100,
@@ -386,18 +388,10 @@ def run_experiment(spec: PerturbationSpec, image_count: int = 100,
     return ExperimentResult(spec=spec, baseline=baseline, perturbed=perturbed)
 
 
-def latency_profile(preview_sizes: Sequence[Tuple[int, int]],
-                    image_count: int = 10, seed: int = 7,
+def latency_profile(preview_sizes: Sequence[Tuple[int, int]], image_count: int = 10,
                     do_normalize: bool = True) -> List[Tuple[SizePair, int]]:
-    """Pixel-op totals for the same dataset pushed through different
-    preview sizes; larger intermediate frames mean more sampled pixels."""
-    template = make_template()
-    rng = np.random.default_rng(seed)
-    images = make_dataset(template, image_count, rng)
-    profile = []
-    for width, height in preview_sizes:
-        preview = SizePair(width, height)
-        result = run_once(images, template, preview, 0,
-                          f"{width}x{height}", do_normalize=do_normalize)
-        profile.append((preview, result.ops.total))
-    return profile
+    """Pixel-op totals of ``image_count`` unrotated images pushed through
+    each preview size; larger intermediate frames mean more sampled pixels."""
+    sizes = [SizePair(width, height) for width, height in preview_sizes]
+    return [(size, pixel_ops(image_count, size, 0, do_normalize).total)
+            for size in sizes]

@@ -168,7 +168,6 @@ class MethodRef:
 @dataclass(slots=True, unsafe_hash=True)
 class RegisterList:
     registers: tuple[Register, ...]
-    is_range: bool = False
 
 
 Operand = Union[Register, IntLiteral, StringLiteral, TypeRef, FieldRef, MethodRef, RegisterList]
@@ -399,7 +398,7 @@ def _parse_register_list(tok: str, line: int, is_range: bool) -> RegisterList:
         raise SmaliSyntaxError(f"bad register list '{tok}'", line)
     inner = tok[1:-1].strip()
     if not inner:
-        return RegisterList(registers=(), is_range=is_range)
+        return RegisterList(registers=())
     if is_range:
         parts = [p.strip() for p in inner.split("..")]
         if len(parts) != 2:
@@ -409,9 +408,9 @@ def _parse_register_list(tok: str, line: int, is_range: bool) -> RegisterList:
         if first.kind != last.kind or last.index < first.index:
             raise SmaliSyntaxError(f"bad register range '{tok}'", line)
         regs = tuple(Register(f"{first.kind}{i}") for i in range(first.index, last.index + 1))
-        return RegisterList(registers=regs, is_range=True)
+        return RegisterList(registers=regs)
     regs = tuple(_parse_register(p.strip(), line) for p in inner.split(","))
-    return RegisterList(registers=regs, is_range=False)
+    return RegisterList(registers=regs)
 
 
 def _parse_instruction(raw: str, stripped: str, line_index: int) -> Instruction:
@@ -604,7 +603,7 @@ def _only_registers(m: re.Match, r: _Registers) -> tuple:
 def _range(m: re.Match, r: _Registers) -> tuple:
     first, last = m[1], m[2]
     names = [f"{first[0]}{i}" for i in range(int(first[1:]), int(last[1:]) + 1)] if first else []
-    return RegisterList(tuple([r[n] for n in names]), True), MethodRef(m[3], m[4], m[5], m[6])
+    return RegisterList(tuple([r[n] for n in names])), MethodRef(m[3], m[4], m[5], m[6])
 
 
 _CHECKS: dict[str, tuple[re.Pattern, OpKind, int, Callable[..., tuple]]] = {
@@ -792,13 +791,3 @@ def emit_unit(unit: SmaliUnit) -> str:
     are reproduced verbatim."""
     return unit.text
 
-
-def splice_lines(unit: SmaliUnit, start: int, count: int, new_lines: Sequence[str]) -> SmaliUnit:
-    """Return a new unit with ``count`` lines at ``start`` replaced by
-    ``new_lines`` (``count`` 0 inserts).  The result is re-parsed, so invalid
-    replacements fail loudly instead of corrupting the unit."""
-    lines = unit.text.split("\n")
-    if start < 0 or start + count > len(lines):
-        raise IndexError(f"splice [{start}, {start + count}) outside unit of {len(lines)} lines")
-    lines[start:start + count] = new_lines
-    return parse_unit("\n".join(lines))

@@ -72,8 +72,8 @@ def test_criterion_01_corpus_end_to_end(corpus, tmp_path, capsys):
         for entry in entries:
             if not entry.truth.is_dl:
                 continue
-            tree = pipeline.materialize(entry.path, tmp_path / "work")
-            analysis = locate.analyze_tree(tree)
+            tree = pipeline.materialize(scan.load_app(entry.path), tmp_path / "work")
+            analysis = locate.analyze_index(locate.ClassIndex.from_tree(tree), tree.name)
             got = sorted({m.strategy for m in analysis.matches})
             assert got == sorted(entry.truth.strategies), entry.truth.name
             if analysis.matches:

@@ -7,6 +7,7 @@ import zipfile
 import pytest
 
 from prepatch import cli, inject, scan, smali, synth
+from prepatch.perturbation import PerturbationSpec
 
 
 def run(args, capsys):
@@ -305,6 +306,58 @@ def test_inject_tree_with_a_held_lock_to_recover_is_blocked(tree, capsys):
     code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == cli.EXIT_BLOCKED and f"pid {os.getpid()}" in err
     assert lock.exists()
+
+
+class _Killed(BaseException):
+    """Stands in for the process dying inside an apply."""
+
+
+def _interrupted_apply(tree, monkeypatch, step):
+    """Stop a 90 degree apply to ``tree`` at its first ``os.replace``
+    (``step`` "replace") or while it writes its journal ("journal")."""
+    plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+
+    def killed(*args):
+        raise _Killed()
+    with monkeypatch.context() as patched:
+        if step == "replace":
+            patched.setattr(inject.os, "replace", killed)
+        else:
+            patched.setattr(inject, "_write_journal", killed)
+        with pytest.raises(_Killed):
+            inject.apply_plan(tree, plan)
+
+
+def _files(folder):
+    return {p.relative_to(folder).as_posix(): p.read_bytes()
+            for p in sorted(folder.rglob("*")) if p.is_file()}
+
+
+def test_inject_dry_run_with_a_pending_journal_writes_nothing(tree, capsys,
+                                                              monkeypatch):
+    _interrupted_apply(tree, monkeypatch, "replace")
+    before = _files(tree.parent)
+    assert tree.name + inject.JOURNAL_SUFFIX in before
+    assert any(name.endswith(inject.TEMP_SUFFIX) for name in before)
+    flags = ["--rotation-delta", "90"]
+    dry = run(["inject", str(tree), *flags, "--dry-run"], capsys)
+    assert _files(tree.parent) == before
+    assert dry[0] == cli.EXIT_BLOCKED and "already carries" in dry[2]
+    # An apply recovers the tree first and is stopped the same way.
+    assert run(["inject", str(tree), *flags], capsys) == dry
+
+
+def test_inject_dry_run_over_a_torn_journal_prints_the_diff(tree, capsys,
+                                                            monkeypatch):
+    args = ["inject", str(tree), "--rotation-delta", "90", "--dry-run"]
+    clean = run(args, capsys)
+    _interrupted_apply(tree, monkeypatch, "journal")
+    journal = tree.parent / (tree.name + inject.JOURNAL_SUFFIX)
+    journal.write_text('["smali/', encoding="utf-8")
+    before = _files(tree.parent)
+    assert run(args, capsys) == clean and clean[0] == 0
+    assert "+    const/16 p2, 0x10e" in clean[1]
+    assert _files(tree.parent) == before
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,29 @@ def test_inject_writes_only_matched_apps(corpus, tmp_path):
     assert {p.name for p in workdir.iterdir()} == injectable
 
 
+def test_only_apps_whose_plan_has_patches_are_written(corpus, tmp_path):
+    root, _ = corpus
+    workdir = tmp_path / "work"
+    report = pipeline.run_pipeline(pipeline.collect_sources(root), workdir,
+                                   spec=PerturbationSpec(width_override=128))
+    assert report.matched_apps == 12 and report.injected_apps == 4
+    assert {p.name for p in workdir.iterdir()} == \
+        {o.app for o in report.outcomes if o.injected}
+
+
+def test_marked_source_is_refused_without_a_work_tree(tmp_path):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    rel = next(name for name in files if "ImageHolder" in name)
+    files[rel] += inject.MARKER_FIELD + "\n"
+    apk = tmp_path / "marked.apk"
+    apk.write_bytes(synth.zip_app(files))
+    workdir = tmp_path / "work"
+    outcome = pipeline.process_app(apk, workdir, PerturbationSpec(rotation_delta=90))
+    assert outcome.matched and not outcome.injected
+    assert outcome.error == f"{rel} already carries {inject.MARKER_FIELD!r}"
+    assert not workdir.exists()
+
+
 def test_patching_a_crlf_tree_keeps_its_line_endings(tmp_path):
     files, truth = synth.build_app_files("s2", 2, random.Random(5))
     crlf = {rel: text.replace("\n", "\r\n").encode()
@@ -98,13 +121,13 @@ def test_unsafe_entry_in_dl_archive_is_refused(tmp_path):
 def test_materialize_keeps_every_entry_byte_equal(tmp_path):
     apk = tmp_path / "packed.apk"
     files, _ = _archive(apk, "s1", 1)
-    tree = pipeline.materialize(apk, tmp_path / "work")
+    tree = pipeline.materialize(scan.load_app(apk), tmp_path / "work")
     got = {p.relative_to(tree).as_posix(): p.read_bytes()
            for p in tree.rglob("*") if p.is_file()}
     want = {rel: data if isinstance(data, bytes) else data.encode("utf-8")
             for rel, data in files.items()}
     assert got == want
-    copied = pipeline.materialize(tree, tmp_path / "again")
+    copied = pipeline.materialize(scan.load_app(tree), tmp_path / "again")
     assert {p.relative_to(copied).as_posix(): p.read_bytes()
             for p in copied.rglob("*") if p.is_file()} == want
 
@@ -148,7 +171,7 @@ def test_materialize_matches_extractall(tmp_path, read_only, extra):
             zf.writestr(name, data)
     with zipfile.ZipFile(apk) as zf:
         zf.extractall(tmp_path / "want")
-    tree = pipeline.materialize(apk, tmp_path / "work")
+    tree = pipeline.materialize(scan.load_app(apk), tmp_path / "work")
     assert _snapshot(tree) == _snapshot(tmp_path / "want")
     assert os.path.isdir(tree / "empty")
 
@@ -165,7 +188,7 @@ def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
     (source / "smali" / "Linked.smali").symlink_to(outside / "Linked.smali")
     (source / "assets" / "linked.bin").symlink_to(outside / "linked.bin")
 
-    tree = pipeline.materialize(source, tmp_path / "work")
+    tree = pipeline.materialize(scan.load_app(source), tmp_path / "work")
     want = {rel: (source / rel).read_bytes() for rel in scan.load_app(source).entries}
     got = _snapshot(tree)
     assert {rel: data for rel, data in got.items() if data is not None} == want

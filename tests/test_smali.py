@@ -232,27 +232,6 @@ def test_error_carries_line_number():
     assert "zz" in line
 
 
-def test_splice_lines_replaces_and_reparses():
-    unit = smali.parse_unit(WRAPPER)
-    target = next(i for i in unit.methods[0].instructions
-                  if i.kind is OpKind.CONST_INT)
-    patched = smali.splice_lines(unit, target.line_index, 1,
-                                 ["    const/16 p2, 0x10e"])
-    const = next(i for i in patched.methods[0].instructions
-                 if i.kind is OpKind.CONST_INT)
-    assert const.literal.value == 270
-    delta = [a for a, b in zip(unit.lines, patched.lines) if a != b]
-    assert len(delta) == 1
-
-
-def test_splice_lines_invalid_replacement_fails():
-    unit = smali.parse_unit(WRAPPER)
-    target = next(i for i in unit.methods[0].instructions
-                  if i.kind is OpKind.CONST_INT)
-    with pytest.raises(SmaliSyntaxError):
-        smali.splice_lines(unit, target.line_index, 1, ["    const/16 p2, nope"])
-
-
 def test_const_opcode_selection():
     assert smali.const_opcode_for(7) == "const/4"
     assert smali.const_opcode_for(-8) == "const/4"
