@@ -219,15 +219,6 @@ class ConstructorMatch:
 # class index
 
 
-def _decode_text(data: bytes) -> str:
-    """Decode a file as ``Path.read_text(encoding="utf-8")`` does: strict
-    UTF-8 with universal newlines, so line indexes match a disk read."""
-    text = data.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
 class ClassIndex:
     """Descriptor -> parsed unit lookup over one app tree."""
 
@@ -262,10 +253,16 @@ class ClassIndex:
     def from_files(cls, files: Dict[str, Union[str, bytes]]) -> "ClassIndex":
         """Index a path -> text mapping; non-smali entries are skipped.
 
-        Bytes are decoded with ``_decode_text``; a file that does not decode
-        or parse is recorded in ``issues``. On a duplicate class descriptor
-        the first file in tree order wins and each later one is recorded in
-        ``issues``.
+        Bytes are decoded as ``Path.read_text(encoding="utf-8")`` does
+        (strict UTF-8, universal newlines), so line indexes match a disk
+        read; a file that does not decode or parse is recorded in
+        ``issues``. On a duplicate class descriptor the first file in tree
+        order wins and each later one is recorded in ``issues``.
+
+        Strict UTF-8 text without a ``\\r`` encodes back to its bytes, so
+        such a bytes value is replaced in ``files`` by its text, the object
+        the unit (or ``unparsed``) keeps: the text is then the file's only
+        copy. Bytes that hold a ``\\r`` or do not decode stay in ``files``.
         """
         index = cls()
         # Parsed units hold no reference cycles, so a collection during
@@ -279,7 +276,11 @@ class ClassIndex:
                 text = files[rel]
                 try:
                     if isinstance(text, bytes):
-                        text = _decode_text(text)
+                        text = text.decode("utf-8")
+                        if "\r" in text:
+                            text = text.replace("\r\n", "\n").replace("\r", "\n")
+                        else:
+                            files[rel] = text
                     index.add(rel, smali.parse_unit(text))
                 except UnicodeDecodeError as exc:
                     index.issues.append((rel, str(exc)))

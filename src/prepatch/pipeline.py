@@ -3,11 +3,14 @@
 Apps are processed one after another. Each one is read once into memory
 (every entry name, plus the bytes of its smali files and manifest), and
 the scan, the class index, constructor matching and the injection plan
-all run from that map. A DL app is written to the working directory only
-when its plan has patches, and then patched in place; a census run
-without a spec writes nothing. The report carries only app names and
-tree-relative paths, so a rerun over the same corpus produces identical
-bytes.
+all run from that map. Indexing replaces each smali file's bytes with the
+decoded text its class keeps, so the app holds each file once. A DL app
+is written to the working directory only when its plan has patches, and
+then patched in place; a census run without a spec writes nothing. The
+work tree is written from that text, and each other archive member is
+copied from where the load found it, without parsing the archive again.
+The report carries only app names and tree-relative paths, so a rerun
+over the same corpus produces identical bytes.
 """
 
 from __future__ import annotations
@@ -104,9 +107,15 @@ def _write_file(path: str, data: bytes) -> None:
 def materialize(app: scan.AppFiles, workdir: Path) -> Path:
     """Write a loaded app as the tree ``workdir / app.name``.
 
-    Read entries (smali and manifest) come from ``app``; every other entry
-    is copied from its source, and an archive is opened again only when it
-    has such entries.
+    Read entries (smali and manifest) are written from ``app.data``: text
+    the class index swapped in is encoded to UTF-8, which gives back the
+    file's bytes (the index keeps the bytes of any file whose text would
+    not). Every other entry is copied from the source: a tree's file as it
+    is, an archive member a chunk at a time, from the spot its load
+    recorded, with the size and CRC checks of the load's own reads. The
+    archive is opened with ``zipfile`` again only for a member that copy
+    refuses (another compression method, say), which ``zipfile`` then
+    extracts over the part already written, or refuses too.
     """
     source = app.source
     if app.unsafe_entry is not None:
@@ -120,7 +129,6 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
     root = str(tree)
     from_tree = source.is_dir()
     made = {root}
-    unread = bool(app.dirs)
     try:
         for rel in app.entries:
             path = f"{root}/{rel}"
@@ -129,17 +137,25 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
                 os.makedirs(folder, exist_ok=True)
                 made.add(folder)
             data = app.data.get(rel)
-            if data is not None:
+            if isinstance(data, str):
+                _write_file(path, data.encode("utf-8"))
+            elif data is not None:
                 _write_file(path, data)
             elif from_tree:
                 shutil.copyfile(f"{source}/{rel}", path)
-            else:
-                unread = True
-        if unread and not from_tree:
+        for rel in app.dirs:
+            os.makedirs(f"{root}/{rel}", exist_ok=True)
+        refused = []
+        if app.unread:
+            with open(source, "rb") as fh:
+                for rel, member in app.unread.items():
+                    with open(f"{root}/{rel}", "wb") as out:
+                        if not scan.copy_direct(fh, member, out):
+                            refused.append(rel)
+        if refused:
             with zipfile.ZipFile(source) as zf:
-                for info in zf.infolist():
-                    if info.filename not in app.data:
-                        zf.extract(info, root)
+                for rel in refused:
+                    zf.extract(rel, root)
     except (zipfile.BadZipFile, OSError) as exc:
         shutil.rmtree(tree, ignore_errors=True)
         raise scan.UnscannableApkError(source, str(exc)) from exc

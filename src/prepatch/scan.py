@@ -1,11 +1,17 @@
 """Identify deep-learning apps in a corpus of disassembled or packed apps.
 
 ``load_app`` reads an archive or tree once into an ``AppFiles`` map that
-every later stage works from. Three signals mark an app as a DL app:
-bundled model files (recognized by suffix), TFLite or MLKit API references
-inside smali code, and MLKit component registrars declared in the
-manifest. The manifest additionally tells which vision services the app
-uses.
+every later stage works from: the bytes of the smali files and the
+manifest, every entry's name and, for an archive, where each other member
+lies, so it can be copied later without parsing the archive again. An
+archive whose central directory lists too many entries, or whose smali and
+manifest members declare too many bytes, is refused before any member is
+read, and a tree's link to a file outside the tree is never read.
+
+Three signals mark an app as a DL app: bundled model files (recognized by
+suffix), TFLite or MLKit API references inside smali code, and MLKit
+component registrars declared in the manifest. The manifest additionally
+tells which vision services the app uses.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 MODEL_SUFFIXES = (".tflite", ".tfl", ".lite")
 
@@ -126,23 +132,54 @@ def _is_read(name: str) -> bool:
     return name.endswith(".smali") or name == "AndroidManifest.xml"
 
 
+class Member(NamedTuple):
+    """Where an archive member lies, from its central directory record:
+    what ``read_direct`` needs to read it again without ``zipfile``."""
+    name: str                   # the name in its local header
+    offset: int                 # of its local header
+    end: Optional[int]          # where the next record starts, if known
+    compress_size: int
+    file_size: int
+    crc: int
+    method: int
+    flags: int
+
+
+def _member(info: zipfile.ZipInfo) -> Member:
+    return Member(info.orig_filename, info.header_offset,
+                  getattr(info, "_end_offset", None), info.compress_size,
+                  info.file_size, info.CRC, info.compress_type, info.flag_bits)
+
+
 @dataclass(frozen=True)
 class AppFiles:
     """One app read into memory, once, for every later stage.
 
     ``entries`` names every file of the archive (in archive order) or tree
-    (sorted); ``data`` holds the raw bytes of the read entries only, so model
-    files and other assets stay on disk. ``unsafe_entry`` is the first
-    archive entry that would escape an extraction directory, if any, and
-    ``dirs`` names the archive's directory entries.
+    (sorted); ``data`` holds the read entries only (smali files and the
+    manifest), so model files and other assets stay on disk. ``data`` holds
+    raw bytes when loaded; ``locate.ClassIndex.from_files`` swaps in its
+    decoded text for each smali file whose text encodes back to those bytes,
+    so that text is the app's only copy. ``unread`` records where each other
+    archive member lies, for ``pipeline.materialize`` to copy.
+    ``unsafe_entry`` is the first entry that would escape an extraction
+    directory (an archive name, or a tree's link to a file outside it), if
+    any; a tree's escaping link is never read. ``dirs`` names the archive's
+    directory entries.
     """
     name: str
     source: Path
     entries: Tuple[str, ...]
-    data: Dict[str, bytes]
+    data: Dict[str, Union[bytes, str]]
     unsafe_entry: Optional[str] = None
     dirs: Tuple[str, ...] = ()
+    unread: Dict[str, Member] = field(default_factory=dict)
 
+
+# Bounds checked against an archive's central directory before any member
+# is read. Each read then stops at its member's declared size.
+MAX_ENTRIES = 500_000
+MAX_READ_BYTES = 1 << 30
 
 # Flag bits a member may carry and still be read directly: 0x800 (UTF-8
 # name) and 0x008 (sizes and CRC in a data descriptor, also in the
@@ -151,72 +188,126 @@ _DIRECT_FLAGS = 0x800 | 0x008
 _DIRECT_METHODS = (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
 
 
-def _read_direct(fh, info: zipfile.ZipInfo) -> Optional[bytes]:
-    """A member's bytes read from the open archive file, or None when any
-    check fails and ``ZipFile.read`` must decide.
+def _seek_data(fh, member: Member) -> bool:
+    """Move the open archive file to a member's data, True when the member
+    is a plain stored or deflated one whose local header agrees with its
+    central directory record."""
+    if member.flags & ~_DIRECT_FLAGS or member.method not in _DIRECT_METHODS:
+        return False
+    fh.seek(member.offset)
+    header = fh.read(zipfile.sizeFileHeader)
+    if len(header) != zipfile.sizeFileHeader:
+        return False
+    fields = struct.unpack(zipfile.structFileHeader, header)
+    magic, flags, name_length, extra_length = fields[0], fields[3], fields[10], fields[11]
+    if magic != zipfile.stringFileHeader:
+        return False
+    try:
+        name = fh.read(name_length).decode("utf-8" if flags & 0x800 else "cp437")
+    except UnicodeDecodeError:
+        return False
+    if name != member.name:
+        return False
+    fh.seek(extra_length, os.SEEK_CUR)
+    # Newer zipfile versions refuse data that runs into the next member.
+    return member.end is None or fh.tell() + member.compress_size <= member.end
+
+
+def read_direct(fh, member: Member) -> Optional[bytes]:
+    """A member's bytes read from the open archive file, or None when it is
+    not a plain stored or deflated member or any check fails, and
+    ``zipfile`` must decide.
 
     Inflation stops one byte past the declared size, so a member that lies
     about its size cannot inflate past it (Fifield, "A better zip bomb",
     WOOT 2019)."""
-    fh.seek(info.header_offset)
-    header = fh.read(zipfile.sizeFileHeader)
-    if len(header) != zipfile.sizeFileHeader:
+    if not _seek_data(fh, member):
         return None
-    fields = struct.unpack(zipfile.structFileHeader, header)
-    magic, flags, name_length, extra_length = fields[0], fields[3], fields[10], fields[11]
-    if magic != zipfile.stringFileHeader:
+    raw = fh.read(member.compress_size)
+    if len(raw) != member.compress_size:
         return None
-    try:
-        name = fh.read(name_length).decode("utf-8" if flags & 0x800 else "cp437")
-    except UnicodeDecodeError:
-        return None
-    if name != info.orig_filename:
-        return None
-    fh.seek(extra_length, os.SEEK_CUR)
-    # Newer zipfile versions refuse data that runs into the next member.
-    end = getattr(info, "_end_offset", None)
-    if end is not None and fh.tell() + info.compress_size > end:
-        return None
-    raw = fh.read(info.compress_size)
-    if len(raw) != info.compress_size:
-        return None
-    if info.compress_type == zipfile.ZIP_STORED:
+    if member.method == zipfile.ZIP_STORED:
         data = raw
     else:
         try:
-            data = zlib.decompressobj(-15).decompress(raw, info.file_size + 1)
+            data = zlib.decompressobj(-15).decompress(raw, member.file_size + 1)
         except zlib.error:
             return None
-    if len(data) != info.file_size or zlib.crc32(data) != info.CRC:
+    if len(data) != member.file_size or zlib.crc32(data) != member.crc:
         return None
     return data
 
 
-def _read_member(fh, zf: zipfile.ZipFile, name: str) -> bytes:
-    """A member's bytes, read directly when it is a plain stored or deflated
-    member and otherwise by ``zf.read``, with its result or error."""
-    info = zf.getinfo(name)
-    if not info.flag_bits & ~_DIRECT_FLAGS and info.compress_type in _DIRECT_METHODS:
-        data = _read_direct(fh, info)
-        if data is not None:
-            return data
-    return zf.read(name)
+_COPY_CHUNK = 1 << 16
+
+
+def copy_direct(fh, member: Member, out) -> bool:
+    """Copy a member's bytes from the open archive file into the open file
+    ``out``, holding at most ``_COPY_CHUNK`` bytes of it at a time, with the
+    checks of ``read_direct``: False where that would give None (``out``
+    may then hold part of the member)."""
+    if not _seek_data(fh, member):
+        return False
+    inflate = zlib.decompressobj(-15) if member.method == zipfile.ZIP_DEFLATED else None
+    left, size, crc = member.compress_size, 0, 0
+    while left:
+        raw = fh.read(min(left, _COPY_CHUNK))
+        if not raw:
+            return False
+        left -= len(raw)
+        while True:
+            if inflate is None:
+                data, full = raw, False
+            else:
+                # Output stops at the chunk size; input it left is kept as
+                # the unconsumed tail, and a full chunk may leave output
+                # still pending, so go on until a call returns less.
+                try:
+                    data = inflate.decompress(raw, _COPY_CHUNK)
+                except zlib.error:
+                    return False
+                raw, full = inflate.unconsumed_tail, len(data) == _COPY_CHUNK
+            size += len(data)
+            if size > member.file_size:
+                return False
+            crc = zlib.crc32(data, crc)
+            out.write(data)
+            if not full:
+                break
+    return size == member.file_size and crc == member.crc
 
 
 def _load_archive(path: Path) -> AppFiles:
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
             names = zf.namelist()
-            entries = tuple(name for name in names if not name.endswith("/"))
-            data = {}
-            for name in entries:
-                if _is_read(name) and name not in data:
-                    data[name] = _read_member(fh, zf, name)
+            if len(names) > MAX_ENTRIES:
+                raise UnscannableApkError(
+                    path, f"{len(names)} entries; at most {MAX_ENTRIES} are read")
+            # Each name once, in archive order, with its last member, as
+            # extraction leaves it on disk.
+            read: List[zipfile.ZipInfo] = []
+            unread: Dict[str, Member] = {}
+            for name, info in zf.NameToInfo.items():
+                if _is_read(name):
+                    read.append(info)
+                elif not name.endswith("/"):
+                    unread[name] = _member(info)
+            declared = sum(info.file_size for info in read)
+            if declared > MAX_READ_BYTES:
+                raise UnscannableApkError(
+                    path, f"smali and manifest members declare {declared} bytes; "
+                          f"at most {MAX_READ_BYTES} are read")
+            data: Dict[str, Union[bytes, str]] = {}
+            for info in read:
+                got = read_direct(fh, _member(info))
+                data[info.filename] = zf.read(info.filename) if got is None else got
     except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error) as exc:
         raise UnscannableApkError(path, str(exc)) from exc
+    entries = tuple(name for name in names if not name.endswith("/"))
     unsafe = next((name for name in names if _is_unsafe(name)), None)
     dirs = tuple(name for name in names if name.endswith("/"))
-    return AppFiles(app_name(path), path, entries, data, unsafe, dirs)
+    return AppFiles(app_name(path), path, entries, data, unsafe, dirs, unread)
 
 
 def _read_file(path: str) -> bytes:
@@ -235,11 +326,20 @@ def _read_file(path: str) -> bytes:
     return data
 
 
+def _escapes(link: str, root: str) -> bool:
+    """True if the symlink ``link`` resolves outside the directory ``root``
+    (itself resolved)."""
+    return os.path.commonpath([root, os.path.realpath(link)]) != root
+
+
 def _load_tree(root: Path) -> AppFiles:
     # One walk, listing the files a sorted recursive Path glob filtered by
     # is_file() lists, in its order: symlinks to files count, symlinked
     # directories are not entered, and an unreadable directory is skipped.
+    # A link that resolves outside the tree is listed but not read.
+    real_root = None
     entries: List[str] = []
+    escaping = set()
     pending = [""]
     while pending:
         prefix = pending.pop()
@@ -250,11 +350,18 @@ def _load_tree(root: Path) -> AppFiles:
                         pending.append(prefix + entry.name + "/")
                     elif entry.is_file():
                         entries.append(prefix + entry.name)
+                        if entry.is_symlink():
+                            real_root = real_root or os.path.realpath(root)
+                            if _escapes(entry.path, real_root):
+                                escaping.add(prefix + entry.name)
         except PermissionError:
             pass
     entries.sort(key=tree_order)
-    data = {rel: _read_file(f"{root}/{rel}") for rel in entries if _is_read(rel)}
-    return AppFiles(app_name(root), root, tuple(entries), data)
+    data: Dict[str, Union[bytes, str]] = {
+        rel: _read_file(f"{root}/{rel}") for rel in entries
+        if _is_read(rel) and rel not in escaping}
+    unsafe = next((rel for rel in entries if rel in escaping), None)
+    return AppFiles(app_name(root), root, tuple(entries), data, unsafe)
 
 
 def load_app(path: Path) -> AppFiles:
@@ -263,19 +370,14 @@ def load_app(path: Path) -> AppFiles:
 
 
 def classify(app: AppFiles) -> DlVerdict:
-    """Scan verdict of a loaded app."""
-    model_files: List[str] = []
+    """Scan verdict of a loaded app, from the bytes it was loaded with."""
+    model_files = [name for name in app.entries if is_model_file(name)]
     saw_tflite_api = False
     saw_mlkit_api = False
-    manifest_text: Optional[str] = None
-
-    for name in app.entries:
-        if is_model_file(name):
-            model_files.append(name)
-        if name == "AndroidManifest.xml":
-            manifest_text = app.data[name].decode("utf-8", errors="replace")
-        elif name.endswith(".smali") and not (saw_tflite_api and saw_mlkit_api):
-            data = app.data[name]
+    for name, data in app.data.items():
+        if saw_tflite_api and saw_mlkit_api:
+            break
+        if name.endswith(".smali"):
             if TFLITE_API_PREFIX in data:
                 saw_tflite_api = True
             if MLKIT_API_PREFIX in data:
@@ -283,8 +385,10 @@ def classify(app: AppFiles) -> DlVerdict:
 
     manifest_valid = False
     services: Tuple[str, ...] = ()
-    if manifest_text is not None:
-        manifest_valid, services = extract_services(manifest_text)
+    manifest = app.data.get("AndroidManifest.xml")
+    if manifest is not None:
+        manifest_valid, services = extract_services(
+            manifest.decode("utf-8", errors="replace"))
 
     evidence = []
     if model_files:

@@ -108,6 +108,20 @@ def test_locate_refuses_unreadable_archives(tmp_path, capsys):
     assert code == cli.EXIT_USAGE and "unsafe entry" in err
 
 
+def test_locate_and_inject_refuse_a_tree_link_that_escapes(tmp_path, capsys):
+    files, _ = synth.build_app_files("s2", 2, random.Random(4))
+    tree = tmp_path / "app"
+    synth.write_tree(files, tree)
+    (tmp_path / "Outside.smali").write_text(".class LOutside;\n")
+    (tree / "smali" / "Outside.smali").symlink_to(tmp_path / "Outside.smali")
+    before = {p: p.read_bytes() for p in tree.rglob("*") if p.is_file()}
+    for args in (["locate"], ["inject", "--rotation-delta", "90"]):
+        code, _, err = run([*args[:1], str(tree), *args[1:]], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "unsafe entry 'smali/Outside.smali'" in err
+    assert {p: p.read_bytes() for p in tree.rglob("*") if p.is_file()} == before
+
+
 def test_locate_and_inject_skip_a_directory_named_like_smali(tree, capsys):
     (tree / "smali" / "odd.smali").mkdir()
     code, out, _ = run(["locate", str(tree)], capsys)

@@ -1,7 +1,10 @@
 import difflib
+import io
 import os
 import random
 import signal
+import struct
+import tracemalloc
 import warnings
 import zipfile
 
@@ -176,24 +179,227 @@ def test_materialize_matches_extractall(tmp_path, read_only, extra):
     assert os.path.isdir(tree / "empty")
 
 
+_BODY = (".class public Lcom/x/{};\n.super Ljava/lang/Object;\n\n"
+         ".method public constructor <init>()V\n    .registers 1\n"
+         "    return-void\n.end method\n")
+
+# Read members whose bytes the index's text may or may not give back, plus
+# unread ones; (name, bytes, compression).
+_ODD_MEMBERS = [
+    ("smali/com/x/Crlf.smali", _BODY.format("Crlf").replace("\n", "\r\n").encode(),
+     zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Cr.smali", _BODY.format("Cr").replace("\n", "\r").encode(),
+     zipfile.ZIP_STORED),
+    ("smali/com/x/Bom.smali", b"\xef\xbb\xbf" + _BODY.format("Bom").encode(),
+     zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Wide.smali", _BODY.format("Wideé中").encode(),
+     zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Latin.smali", _BODY.format("Latin").encode() + b"# caf\xe9\n",
+     zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Broken.smali", b".class public Lcom/x/Broken;\n.method x\n",
+     zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Dup.smali", _BODY.format("Dup").encode(), zipfile.ZIP_DEFLATED),
+    ("smali/com/x/Dup.smali", _BODY.format("Dup").encode() + b"# second\n",
+     zipfile.ZIP_STORED),
+    ("empty/", b"", zipfile.ZIP_STORED),
+    ("assets/dup.bin", b"first", zipfile.ZIP_DEFLATED),
+    ("assets/dup.bin", b"second", zipfile.ZIP_STORED),
+    ("assets/raw.bin", bytes(range(256)) * 4, zipfile.ZIP_STORED),
+    ("assets/deep/er/m.tflite", b"\x00\x01" * 300, zipfile.ZIP_DEFLATED),
+]
+_FALLBACK_MEMBERS = [
+    ("assets/model.bz2.tflite", b"bzip2 model " * 50, zipfile.ZIP_BZIP2),
+    ("assets/notes.xz", b"lzma notes " * 50, zipfile.ZIP_LZMA),
+]
+
+
+def _odd_archive(path, members):
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    with warnings.catch_warnings(), zipfile.ZipFile(path, "w") as zf:
+        warnings.simplefilter("ignore")        # duplicate names
+        for name, data in files.items():
+            zf.writestr(name, data, compress_type=zipfile.ZIP_DEFLATED)
+        for name, data, method in members:
+            zf.writestr(name, data, compress_type=method)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_materialize_writes_what_extractall_writes(tmp_path, monkeypatch,
+                                                   indexed, fallback):
+    apk = tmp_path / "odd.apk"
+    _odd_archive(apk, _ODD_MEMBERS + (_FALLBACK_MEMBERS if fallback else []))
+    with zipfile.ZipFile(apk) as zf:
+        zf.extractall(tmp_path / "want")
+    app = scan.load_app(apk)
+    if indexed:
+        index = locate.ClassIndex.from_files(app.data)
+        # A BOM before ".class" fails to parse, as it does from disk.
+        assert {rel for rel, _ in index.issues} == {
+            "smali/com/x/Latin.smali", "smali/com/x/Broken.smali",
+            "smali/com/x/Bom.smali"}
+    opened, real_zipfile = [], zipfile.ZipFile
+    monkeypatch.setattr(zipfile, "ZipFile",
+                        lambda *a, **k: opened.append(a) or real_zipfile(*a, **k))
+    tree = pipeline.materialize(app, tmp_path / "work")
+    assert _snapshot(tree) == _snapshot(tmp_path / "want")
+    assert os.path.isdir(tree / "empty")
+    # Stored and deflated members are copied without zipfile; only a member
+    # that the direct read refuses (bzip2, lzma) reopens the archive.
+    assert len(opened) == (1 if fallback else 0)
+
+
+_BIG = "assets/big.bin"
+
+
+def _central_record(data, name):
+    """Offset of ``name``'s central directory record in archive ``data``."""
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        offset = zf.start_dir
+    while True:
+        fields = struct.unpack(zipfile.structCentralDir, data[offset:offset + 46])
+        if data[offset + 46:offset + 46 + fields[12]].decode() == name:
+            return offset
+        offset += 46 + fields[12] + fields[13] + fields[14]
+
+
+def _bad_crc(data, central):
+    data[central + 16] ^= 0xFF
+
+
+def _short_size(data, central):
+    size = struct.unpack_from("<L", data, central + 24)[0]
+    struct.pack_into("<L", data, central + 24, size - 10)
+
+
+def _long_size(data, central):
+    size = struct.unpack_from("<L", data, central + 24)[0]
+    struct.pack_into("<L", data, central + 24, size + 10)
+
+
+def _garbled(data, central):
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        start = zf.getinfo(_BIG).header_offset + 30 + len(_BIG)
+    data[start + 100:start + 108] = b"\xff" * 8
+
+
+@pytest.mark.parametrize("payload, method", [
+    (b"\x00" * (3 << 20), zipfile.ZIP_DEFLATED),    # one read, many output chunks
+    (random.Random(1).randbytes(3 << 20), zipfile.ZIP_DEFLATED),
+    (random.Random(2).randbytes(3 << 20), zipfile.ZIP_STORED),
+], ids=["zeros-deflated", "random-deflated", "random-stored"])
+@pytest.mark.parametrize("damage", [None, _bad_crc, _short_size, _long_size, _garbled])
+def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, monkeypatch,
+                                                       payload, method, damage):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("AndroidManifest.xml", "<manifest/>")
+        zf.writestr("smali/A.smali", ".class LA;\n")
+        zf.writestr(_BIG, payload, compress_type=method)
+    data = bytearray(buf.getvalue())
+    if damage is not None:
+        damage(data, _central_record(data, _BIG))
+    apk = tmp_path / "big.apk"
+    apk.write_bytes(bytes(data))
+    try:
+        with zipfile.ZipFile(apk) as zf:
+            zf.extractall(tmp_path / "want")
+        want = _snapshot(tmp_path / "want")
+    except zipfile.BadZipFile as exc:
+        want = str(exc)
+    app = scan.load_app(apk)
+    opened, real_zipfile = [], zipfile.ZipFile
+    monkeypatch.setattr(zipfile, "ZipFile",
+                        lambda *a, **k: opened.append(a) or real_zipfile(*a, **k))
+    tracemalloc.start()
+    try:
+        tree = pipeline.materialize(app, tmp_path / "work")
+    except scan.UnscannableApkError as exc:
+        tree = exc.reason
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    got = tree if isinstance(tree, str) else _snapshot(tree)
+    # A member the copy refuses is left to zipfile, which either extracts
+    # it anyway (a stored member longer than declared) or fails the app.
+    assert got == want
+    if isinstance(want, str):
+        assert not (tmp_path / "work" / "big").exists()
+    if damage is None:
+        assert not opened
+        assert peak < (1 << 20), peak         # a 3 MB member, never held whole
+
+
+def test_after_indexing_the_text_is_the_only_copy_of_a_file(tmp_path):
+    apk = tmp_path / "odd.apk"
+    _odd_archive(apk, _ODD_MEMBERS)
+    app = scan.load_app(apk)
+    assert all(isinstance(data, bytes) for data in app.data.values())
+    index = locate.ClassIndex.from_files(app.data)
+    kept = {"smali/com/x/Crlf.smali", "smali/com/x/Cr.smali",
+            "smali/com/x/Latin.smali", "AndroidManifest.xml"}
+    for rel, data in app.data.items():
+        if rel in kept:
+            assert isinstance(data, bytes), rel
+        elif rel in index.unparsed:
+            assert data is index.unparsed[rel]
+        else:
+            assert data is index.by_path[rel].text, rel
+    assert list(index.unparsed) == ["smali/com/x/Bom.smali",
+                                    "smali/com/x/Broken.smali"]
+    assert app.data["smali/com/x/Bom.smali"].startswith("\ufeff")
+
+
 def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
     files, truth = synth.build_app_files("s1", 1, random.Random(5))
     source = tmp_path / truth.name
     synth.write_tree(files, source)
     (source / "assets" / "notes.bin").write_bytes(b"\x00unread")
-    outside = tmp_path / "outside"
-    outside.mkdir()
-    (outside / "Linked.smali").write_text(".class LLinked;\n")
-    (outside / "linked.bin").write_bytes(b"linked asset")
-    (source / "smali" / "Linked.smali").symlink_to(outside / "Linked.smali")
-    (source / "assets" / "linked.bin").symlink_to(outside / "linked.bin")
+    (source / "shared").mkdir()
+    (source / "shared" / "Linked.smali").write_text(".class LLinked;\n")
+    (source / "shared" / "linked.bin").write_bytes(b"linked asset")
+    # Links that resolve inside the tree, one absolute and one relative.
+    (source / "smali" / "Linked.smali").symlink_to(source / "shared" / "Linked.smali")
+    (source / "assets" / "linked.bin").symlink_to("../shared/linked.bin")
 
-    tree = pipeline.materialize(scan.load_app(source), tmp_path / "work")
-    want = {rel: (source / rel).read_bytes() for rel in scan.load_app(source).entries}
+    app = scan.load_app(source)
+    assert app.unsafe_entry is None
+    tree = pipeline.materialize(app, tmp_path / "work")
+    want = {rel: (source / rel).read_bytes() for rel in app.entries}
     got = _snapshot(tree)
     assert {rel: data for rel, data in got.items() if data is not None} == want
     assert got["smali/Linked.smali"] == b".class LLinked;\n"
     assert got["assets/linked.bin"] == b"linked asset"
+
+
+@pytest.mark.parametrize("rel", ["smali/Outside.smali", "assets/outside.bin",
+                                 "AndroidManifest.xml"])
+def test_tree_link_that_escapes_is_refused_unread(tmp_path, monkeypatch, rel):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    source = tmp_path / "corpus" / truth.name
+    synth.write_tree(files, source)
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(b".class LOutside;\n")
+    (source / rel).unlink(missing_ok=True)
+    # A relative link through the parent, so only resolving it shows the escape.
+    (source / rel).symlink_to(os.path.relpath(outside, (source / rel).parent))
+    opened = []
+    real_read = scan._read_file
+    monkeypatch.setattr(scan, "_read_file",
+                        lambda path: opened.append(path) or real_read(path))
+
+    app = scan.load_app(source)
+    assert app.unsafe_entry == rel and rel in app.entries
+    assert rel not in app.data
+    assert not any(path.endswith(rel) for path in opened)
+    with pytest.raises(scan.UnscannableApkError, match="unsafe entry"):
+        pipeline.materialize(app, tmp_path / "work")
+    assert not (tmp_path / "work" / truth.name).exists()
+    outcome = pipeline.process_app(source, tmp_path / "work",
+                                   PerturbationSpec(rotation_delta=90))
+    assert outcome.verdict.is_dl
+    assert outcome.error == f"unsafe entry {rel!r}" and not outcome.injected
+    assert not (tmp_path / "work" / truth.name).exists()
 
 
 def test_bad_frame_size_fails_only_its_own_app(tmp_path):

@@ -166,8 +166,11 @@ def test_tree_load_matches_sorted_rglob(tmp_path):
     assert list(app.entries) == expected
     assert "smali/linked.smali" in expected
     assert not any(rel.startswith("smali/linkdir") for rel in expected)
+    # The link that escapes the tree is listed, marked unsafe and not read.
+    assert app.unsafe_entry == "smali/linked.smali"
     assert app.data == {rel: (root / rel).read_bytes() for rel in expected
-                        if rel.endswith(".smali") or rel == "AndroidManifest.xml"}
+                        if rel.endswith(".smali") or rel == "AndroidManifest.xml"
+                        if rel != app.unsafe_entry}
 
 
 def test_unscannable_archive(tmp_path):
@@ -409,3 +412,31 @@ def test_tree_file_is_read_whole_whatever_size_it_reports(tmp_path, monkeypatch,
     monkeypatch.setattr(scan.os, "fstat",
                         lambda fd: types.SimpleNamespace(st_size=reported))
     assert scan._read_file(str(path)) == path.read_bytes()
+
+
+@pytest.mark.parametrize("limit, over", [
+    ("MAX_ENTRIES", lambda infos: len(infos)),
+    ("MAX_READ_BYTES", lambda infos: sum(
+        i.file_size for i in infos
+        if i.filename.endswith(".smali") or i.filename == "AndroidManifest.xml")),
+])
+def test_archive_over_a_load_bound_is_refused_before_any_read(tmp_path, monkeypatch,
+                                                              limit, over):
+    data, _ = _member_archive()
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    with zipfile.ZipFile(apk) as zf:
+        at = over(zf.infolist())
+    monkeypatch.setattr(scan, limit, at)
+    assert _loader_result(apk) == _zipfile_result(apk)      # at the bound
+    reads = []
+    monkeypatch.setattr(scan, "read_direct", lambda *a: reads.append(a))
+    monkeypatch.setattr(zipfile.ZipFile, "open",
+                        lambda *a, **k: reads.append(a))
+    monkeypatch.setattr(scan, limit, at - 1)
+    with pytest.raises(scan.UnscannableApkError) as raised:
+        scan.load_app(apk)
+    assert str(at) in raised.value.reason and str(at - 1) in raised.value.reason
+    assert reads == []
+    verdict = scan.scan_path(apk)
+    assert verdict.error == raised.value.reason and not verdict.is_dl
