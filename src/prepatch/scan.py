@@ -134,7 +134,8 @@ def _is_read(name: str) -> bool:
 
 class Member(NamedTuple):
     """Where an archive member lies, from its central directory record:
-    what ``read_direct`` needs to read it again without ``zipfile``."""
+    what ``_read_direct`` and ``copy_direct`` need to read it without
+    ``zipfile``."""
     name: str                   # the name in its local header
     offset: int                 # of its local header
     end: Optional[int]          # where the next record starts, if known
@@ -213,7 +214,7 @@ def _seek_data(fh, member: Member) -> bool:
     return member.end is None or fh.tell() + member.compress_size <= member.end
 
 
-def read_direct(fh, member: Member) -> Optional[bytes]:
+def _read_direct(fh, member: Member) -> Optional[bytes]:
     """A member's bytes read from the open archive file, or None when it is
     not a plain stored or deflated member or any check fails, and
     ``zipfile`` must decide.
@@ -244,7 +245,7 @@ _COPY_CHUNK = 1 << 16
 def copy_direct(fh, member: Member, out) -> bool:
     """Copy a member's bytes from the open archive file into the open file
     ``out``, holding at most ``_COPY_CHUNK`` bytes of it at a time, with the
-    checks of ``read_direct``: False where that would give None (``out``
+    checks of ``_read_direct``: False where that would give None (``out``
     may then hold part of the member)."""
     if not _seek_data(fh, member):
         return False
@@ -300,7 +301,7 @@ def _load_archive(path: Path) -> AppFiles:
                           f"at most {MAX_READ_BYTES} are read")
             data: Dict[str, Union[bytes, str]] = {}
             for info in read:
-                got = read_direct(fh, _member(info))
+                got = _read_direct(fh, _member(info))
                 data[info.filename] = zf.read(info.filename) if got is None else got
     except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error) as exc:
         raise UnscannableApkError(path, str(exc)) from exc

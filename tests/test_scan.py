@@ -430,7 +430,7 @@ def test_archive_over_a_load_bound_is_refused_before_any_read(tmp_path, monkeypa
     monkeypatch.setattr(scan, limit, at)
     assert _loader_result(apk) == _zipfile_result(apk)      # at the bound
     reads = []
-    monkeypatch.setattr(scan, "read_direct", lambda *a: reads.append(a))
+    monkeypatch.setattr(scan, "_read_direct", lambda *a: reads.append(a))
     monkeypatch.setattr(zipfile.ZipFile, "open",
                         lambda *a, **k: reads.append(a))
     monkeypatch.setattr(scan, limit, at - 1)
