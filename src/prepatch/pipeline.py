@@ -19,7 +19,6 @@ import dataclasses
 import logging
 import os
 import shutil
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -112,10 +111,9 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
     file's bytes (the index keeps the bytes of any file whose text would
     not). Every other entry is copied from the source: a tree's file as it
     is, an archive member a chunk at a time, from the spot its load
-    recorded, with the size and CRC checks of the load's own reads. The
-    archive is opened with ``zipfile`` again only for a member that copy
-    refuses (another compression method, say), which ``zipfile`` then
-    extracts over the part already written, or refuses too.
+    recorded, with the checks of the load's own reads. A member those
+    checks refuse fails the app with ``UnscannableApkError`` naming it, and
+    the partial tree is removed.
     """
     source = app.source
     if app.unsafe_entry is not None:
@@ -145,18 +143,12 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
                 shutil.copyfile(f"{source}/{rel}", path)
         for rel in app.dirs:
             os.makedirs(f"{root}/{rel}", exist_ok=True)
-        refused = []
         if app.unread:
             with open(source, "rb") as fh:
                 for rel, member in app.unread.items():
                     with open(f"{root}/{rel}", "wb") as out:
-                        if not scan.copy_direct(fh, member, out):
-                            refused.append(rel)
-        if refused:
-            with zipfile.ZipFile(source) as zf:
-                for rel in refused:
-                    zf.extract(rel, root)
-    except (zipfile.BadZipFile, OSError) as exc:
+                        scan.copy_direct(fh, member, out)
+    except (OSError, scan.MemberError) as exc:
         shutil.rmtree(tree, ignore_errors=True)
         raise scan.UnscannableApkError(source, str(exc)) from exc
     return tree

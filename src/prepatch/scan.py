@@ -7,6 +7,8 @@ lies, so it can be copied later without parsing the archive again. An
 archive whose central directory lists too many entries, or whose smali and
 manifest members declare too many bytes, is refused before any member is
 read, and a tree's link to a file outside the tree is never read.
+``zipfile`` only lists the central directory: member data is read here,
+and a member this reader refuses fails its app with a reason naming it.
 
 Three signals mark an app as a DL app: bundled model files (recognized by
 suffix), TFLite or MLKit API references inside smali code, and MLKit
@@ -16,6 +18,7 @@ tells which vision services the app uses.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import struct
@@ -134,8 +137,7 @@ def _is_read(name: str) -> bool:
 
 class Member(NamedTuple):
     """Where an archive member lies, from its central directory record:
-    what ``_read_direct`` and ``copy_direct`` need to read it without
-    ``zipfile``."""
+    what ``copy_direct`` needs to read it without ``zipfile``."""
     name: str                   # the name in its local header
     offset: int                 # of its local header
     end: Optional[int]          # where the next record starts, if known
@@ -182,100 +184,109 @@ class AppFiles:
 MAX_ENTRIES = 500_000
 MAX_READ_BYTES = 1 << 30
 
-# Flag bits a member may carry and still be read directly: 0x800 (UTF-8
-# name) and 0x008 (sizes and CRC in a data descriptor, also in the
-# central directory).
-_DIRECT_FLAGS = 0x800 | 0x008
-_DIRECT_METHODS = (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+# Flag bits zipfile refuses too: 0x001 (encrypted), 0x020 (compressed
+# patched data) and 0x040 (strong encryption). The others (0x002/0x004
+# compression level, 0x008 data descriptor, 0x800 UTF-8 name) change nothing.
+_REFUSED_FLAGS = 0x001 | 0x020 | 0x040
 
 
-def _seek_data(fh, member: Member) -> bool:
-    """Move the open archive file to a member's data, True when the member
-    is a plain stored or deflated one whose local header agrees with its
-    central directory record."""
-    if member.flags & ~_DIRECT_FLAGS or member.method not in _DIRECT_METHODS:
-        return False
+class MemberError(Exception):
+    """An archive member the direct reader refuses, and the check it failed."""
+
+    def __init__(self, member: Member, check: str):
+        super().__init__(f"member {member.name!r}: {check}")
+
+
+def _seek_data(fh, member: Member) -> None:
+    """Move the open archive file to a member's data. Raises MemberError
+    unless the member is a stored or deflated one, not encrypted or patched,
+    whose local header agrees with its central directory record."""
+    if member.method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        raise MemberError(member, f"compression method {member.method} is "
+                                  f"neither stored nor deflated")
+    if member.flags & _REFUSED_FLAGS:
+        raise MemberError(member, f"flag bits {member.flags & _REFUSED_FLAGS:#05x} "
+                                  f"(encrypted or patched data)")
     fh.seek(member.offset)
     header = fh.read(zipfile.sizeFileHeader)
     if len(header) != zipfile.sizeFileHeader:
-        return False
+        raise MemberError(member, "local header is truncated")
     fields = struct.unpack(zipfile.structFileHeader, header)
     magic, flags, name_length, extra_length = fields[0], fields[3], fields[10], fields[11]
     if magic != zipfile.stringFileHeader:
-        return False
-    try:
-        name = fh.read(name_length).decode("utf-8" if flags & 0x800 else "cp437")
-    except UnicodeDecodeError:
-        return False
+        raise MemberError(member, "local header has a bad magic number")
+    raw_name = fh.read(name_length)
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no name
+    # in the central directory holds.
+    name = raw_name.decode("utf-8" if flags & 0x800 else "cp437", "surrogateescape")
     if name != member.name:
-        return False
+        raise MemberError(member, f"local header names {raw_name!r}")
     fh.seek(extra_length, os.SEEK_CUR)
-    # Newer zipfile versions refuse data that runs into the next member.
-    return member.end is None or fh.tell() + member.compress_size <= member.end
+    # Newer zipfile versions record where the next member starts.
+    if member.end is not None and fh.tell() + member.compress_size > member.end:
+        raise MemberError(member, "data runs into the next member")
 
 
-def _read_direct(fh, member: Member) -> Optional[bytes]:
-    """A member's bytes read from the open archive file, or None when it is
-    not a plain stored or deflated member or any check fails, and
-    ``zipfile`` must decide.
-
-    Inflation stops one byte past the declared size, so a member that lies
-    about its size cannot inflate past it (Fifield, "A better zip bomb",
-    WOOT 2019)."""
-    if not _seek_data(fh, member):
-        return None
-    raw = fh.read(member.compress_size)
-    if len(raw) != member.compress_size:
-        return None
-    if member.method == zipfile.ZIP_STORED:
-        data = raw
-    else:
-        try:
-            data = zlib.decompressobj(-15).decompress(raw, member.file_size + 1)
-        except zlib.error:
-            return None
-    if len(data) != member.file_size or zlib.crc32(data) != member.crc:
-        return None
-    return data
+def _check(member: Member, size: int, crc: int) -> None:
+    """Raise MemberError unless the member declares ``size`` and ``crc``."""
+    if size > member.file_size:
+        raise MemberError(member, f"runs past its declared {member.file_size} bytes")
+    if size < member.file_size:
+        raise MemberError(member, f"ends at {size} of its declared "
+                                  f"{member.file_size} bytes")
+    if crc != member.crc:
+        raise MemberError(member, "bad CRC-32")
 
 
 _COPY_CHUNK = 1 << 16
 
 
-def copy_direct(fh, member: Member, out) -> bool:
+def copy_direct(fh, member: Member, out) -> None:
     """Copy a member's bytes from the open archive file into the open file
-    ``out``, holding at most ``_COPY_CHUNK`` bytes of it at a time, with the
-    checks of ``_read_direct``: False where that would give None (``out``
-    may then hold part of the member)."""
-    if not _seek_data(fh, member):
-        return False
+    ``out``, holding at most ``_COPY_CHUNK`` bytes of it at a time. Raises
+    MemberError when ``_seek_data`` refuses the member, its data is
+    truncated or does not inflate, or its size or CRC-32 is not the
+    declared one (``out`` may then hold part of the member). Inflation
+    stops one byte past the declared size, so a member that lies about its
+    size cannot inflate past it (Fifield, "A better zip bomb", WOOT 2019)."""
+    _seek_data(fh, member)
     inflate = zlib.decompressobj(-15) if member.method == zipfile.ZIP_DEFLATED else None
     left, size, crc = member.compress_size, 0, 0
     while left:
         raw = fh.read(min(left, _COPY_CHUNK))
         if not raw:
-            return False
+            raise MemberError(member, f"data is truncated at {member.compress_size - left} "
+                                      f"of {member.compress_size} bytes")
         left -= len(raw)
         while True:
             if inflate is None:
                 data, full = raw, False
             else:
-                # Output stops at the chunk size; input it left is kept as
-                # the unconsumed tail, and a full chunk may leave output
-                # still pending, so go on until a call returns less.
+                # Output stops at the chunk size or one byte past the
+                # declared size; input left over is the unconsumed tail, and
+                # a full output may leave more pending, so go on until less.
+                cap = min(_COPY_CHUNK, member.file_size - size + 1)
                 try:
-                    data = inflate.decompress(raw, _COPY_CHUNK)
-                except zlib.error:
-                    return False
-                raw, full = inflate.unconsumed_tail, len(data) == _COPY_CHUNK
+                    data = inflate.decompress(raw, cap)
+                except zlib.error as exc:
+                    raise MemberError(member, f"inflate error: {exc}") from exc
+                raw, full = inflate.unconsumed_tail, len(data) == cap
             size += len(data)
-            if size > member.file_size:
-                return False
             crc = zlib.crc32(data, crc)
+            if size > member.file_size:
+                _check(member, size, crc)       # raises before writing past it
             out.write(data)
             if not full:
                 break
-    return size == member.file_size and crc == member.crc
+    _check(member, size, crc)
+
+
+def _read_direct(fh, member: Member) -> bytes:
+    """A member's bytes read from the open archive file, with the checks
+    of ``copy_direct``."""
+    out = io.BytesIO()
+    copy_direct(fh, member, out)
+    return out.getvalue()
 
 
 def _load_archive(path: Path) -> AppFiles:
@@ -299,11 +310,11 @@ def _load_archive(path: Path) -> AppFiles:
                 raise UnscannableApkError(
                     path, f"smali and manifest members declare {declared} bytes; "
                           f"at most {MAX_READ_BYTES} are read")
-            data: Dict[str, Union[bytes, str]] = {}
-            for info in read:
-                got = _read_direct(fh, _member(info))
-                data[info.filename] = zf.read(info.filename) if got is None else got
-    except (zipfile.BadZipFile, OSError, EOFError, RuntimeError, zlib.error) as exc:
+            data: Dict[str, Union[bytes, str]] = {
+                info.filename: _read_direct(fh, _member(info)) for info in read}
+    # zipfile's listing also raises these for a newer version or a bad name.
+    except (zipfile.BadZipFile, NotImplementedError, UnicodeDecodeError, OSError,
+            MemberError) as exc:
         raise UnscannableApkError(path, str(exc)) from exc
     entries = tuple(name for name in names if not name.endswith("/"))
     unsafe = next((name for name in names if _is_unsafe(name)), None)

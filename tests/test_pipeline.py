@@ -7,6 +7,7 @@ import struct
 import tracemalloc
 import warnings
 import zipfile
+import zlib
 
 import pytest
 
@@ -207,7 +208,8 @@ _ODD_MEMBERS = [
     ("assets/raw.bin", bytes(range(256)) * 4, zipfile.ZIP_STORED),
     ("assets/deep/er/m.tflite", b"\x00\x01" * 300, zipfile.ZIP_DEFLATED),
 ]
-_FALLBACK_MEMBERS = [
+# Members no Android reader takes, which the direct copy refuses.
+_BZIP2_LZMA_MEMBERS = [
     ("assets/model.bz2.tflite", b"bzip2 model " * 50, zipfile.ZIP_BZIP2),
     ("assets/notes.xz", b"lzma notes " * 50, zipfile.ZIP_LZMA),
 ]
@@ -224,11 +226,12 @@ def _odd_archive(path, members):
 
 
 @pytest.mark.parametrize("indexed", [False, True])
-@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("bzip2_lzma", [False, True])
 def test_materialize_writes_what_extractall_writes(tmp_path, monkeypatch,
-                                                   indexed, fallback):
+                                                   forbid_member_reads,
+                                                   indexed, bzip2_lzma):
     apk = tmp_path / "odd.apk"
-    _odd_archive(apk, _ODD_MEMBERS + (_FALLBACK_MEMBERS if fallback else []))
+    _odd_archive(apk, _ODD_MEMBERS + (_BZIP2_LZMA_MEMBERS if bzip2_lzma else []))
     with zipfile.ZipFile(apk) as zf:
         zf.extractall(tmp_path / "want")
     app = scan.load_app(apk)
@@ -238,15 +241,23 @@ def test_materialize_writes_what_extractall_writes(tmp_path, monkeypatch,
         assert {rel for rel, _ in index.issues} == {
             "smali/com/x/Latin.smali", "smali/com/x/Broken.smali",
             "smali/com/x/Bom.smali"}
+    forbid_member_reads()
     opened, real_zipfile = [], zipfile.ZipFile
     monkeypatch.setattr(zipfile, "ZipFile",
                         lambda *a, **k: opened.append(a) or real_zipfile(*a, **k))
-    tree = pipeline.materialize(app, tmp_path / "work")
-    assert _snapshot(tree) == _snapshot(tmp_path / "want")
-    assert os.path.isdir(tree / "empty")
-    # Stored and deflated members are copied without zipfile; only a member
-    # that the direct read refuses (bzip2, lzma) reopens the archive.
-    assert len(opened) == (1 if fallback else 0)
+    if bzip2_lzma:
+        # zipfile extracts these; the copy refuses the first one, and the app.
+        with pytest.raises(scan.UnscannableApkError) as raised:
+            pipeline.materialize(app, tmp_path / "work")
+        assert raised.value.reason == ("member 'assets/model.bz2.tflite': "
+                                       "compression method 12 is neither "
+                                       "stored nor deflated")
+        assert not (tmp_path / "work" / app.name).exists()
+    else:
+        tree = pipeline.materialize(app, tmp_path / "work")
+        assert _snapshot(tree) == _snapshot(tmp_path / "want")
+        assert os.path.isdir(tree / "empty")
+    assert not opened
 
 
 _BIG = "assets/big.bin"
@@ -283,6 +294,39 @@ def _garbled(data, central):
     data[start + 100:start + 108] = b"\xff" * 8
 
 
+def _plain_zlib_refusal(apk):
+    """The check that reading ``_BIG`` whole with plain zlib fails, as a
+    reference for the chunked copy."""
+    with zipfile.ZipFile(apk) as zf:
+        info = zf.getinfo(_BIG)
+    start = info.header_offset + 30 + len(_BIG)
+    data = apk.read_bytes()[start:start + info.compress_size]
+    if info.compress_type == zipfile.ZIP_DEFLATED:
+        try:
+            data = zlib.decompressobj(-15).decompress(data)
+        except zlib.error as exc:
+            return f"inflate error: {exc}"
+    assert len(data) <= info.file_size
+    if len(data) < info.file_size:
+        return f"ends at {len(data)} of its declared {info.file_size} bytes"
+    assert zlib.crc32(data) != info.CRC
+    return "bad CRC-32"
+
+
+# The copy's reason for each damage, after "member 'assets/big.bin': ";
+# None where it depends on how zlib laid out the stream, and plain zlib
+# gives the reference. zipfile fails on every damage but
+# _long_size, whose member holds 10 bytes fewer than declared with the
+# declared CRC-32; the copy refuses that too, as it refuses a member that
+# runs past its size.
+_COPY_REFUSALS = {
+    _bad_crc: "bad CRC-32",
+    _short_size: "runs past its declared 3145718 bytes",
+    _long_size: "ends at 3145728 of its declared 3145738 bytes",
+    _garbled: None,
+}
+
+
 @pytest.mark.parametrize("payload, method", [
     (b"\x00" * (3 << 20), zipfile.ZIP_DEFLATED),    # one read, many output chunks
     (random.Random(1).randbytes(3 << 20), zipfile.ZIP_DEFLATED),
@@ -290,6 +334,7 @@ def _garbled(data, central):
 ], ids=["zeros-deflated", "random-deflated", "random-stored"])
 @pytest.mark.parametrize("damage", [None, _bad_crc, _short_size, _long_size, _garbled])
 def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, monkeypatch,
+                                                       forbid_member_reads,
                                                        payload, method, damage):
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
@@ -305,9 +350,13 @@ def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, monkeypatch,
         with zipfile.ZipFile(apk) as zf:
             zf.extractall(tmp_path / "want")
         want = _snapshot(tmp_path / "want")
-    except zipfile.BadZipFile as exc:
-        want = str(exc)
+    except zipfile.BadZipFile:
+        want = None
+    assert (want is None) is (damage not in (None, _long_size))
     app = scan.load_app(apk)
+    if damage is not None:
+        want = f"member {_BIG!r}: {_COPY_REFUSALS[damage] or _plain_zlib_refusal(apk)}"
+    forbid_member_reads()
     opened, real_zipfile = [], zipfile.ZipFile
     monkeypatch.setattr(zipfile, "ZipFile",
                         lambda *a, **k: opened.append(a) or real_zipfile(*a, **k))
@@ -320,14 +369,29 @@ def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, monkeypatch,
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     got = tree if isinstance(tree, str) else _snapshot(tree)
-    # A member the copy refuses is left to zipfile, which either extracts
-    # it anyway (a stored member longer than declared) or fails the app.
     assert got == want
     if isinstance(want, str):
         assert not (tmp_path / "work" / "big").exists()
-    if damage is None:
-        assert not opened
-        assert peak < (1 << 20), peak         # a 3 MB member, never held whole
+    assert not opened
+    assert peak < (1 << 20), peak             # a 3 MB member, never held whole
+
+
+def test_bzip2_bomb_asset_is_refused_in_bounded_memory(tmp_path, bomb_archive,
+                                                       forbid_member_reads):
+    apk = bomb_archive(tmp_path / "bomb.apk", "assets/bomb.bin", zipfile.ZIP_BZIP2)
+    app = scan.load_app(apk)
+    forbid_member_reads()
+    tracemalloc.start()
+    try:
+        with pytest.raises(scan.UnscannableApkError) as raised:
+            pipeline.materialize(app, tmp_path / "work")
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert raised.value.reason == ("member 'assets/bomb.bin': compression "
+                                   "method 12 is neither stored nor deflated")
+    assert not (tmp_path / "work" / "bomb").exists()
+    assert peak < (1 << 20), peak            # 16 MB of zeros, never inflated
 
 
 def test_after_indexing_the_text_is_the_only_copy_of_a_file(tmp_path):

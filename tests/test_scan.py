@@ -1,6 +1,7 @@
 import io
 import random
 import struct
+import tracemalloc
 import types
 import zipfile
 import zlib
@@ -326,6 +327,21 @@ def _loader_result(path):
         return exc.reason
 
 
+# The loader's reason for each case zipfile or the loader refuses.
+_REFUSALS = {
+    (zipfile.ZIP_DEFLATED, _garble_payload):
+        "inflate error: Error -3 while decompressing data: invalid block type",
+    (zipfile.ZIP_DEFLATED, _bad_magic): "local header has a bad magic number",
+    (zipfile.ZIP_DEFLATED, _rename_local):
+        "local header names b'smali/com/demo/HoldeX.smali'",
+    (zipfile.ZIP_DEFLATED, _bad_crc): "bad CRC-32",
+    (zipfile.ZIP_DEFLATED, _encrypted): "flag bits 0x001 (encrypted or patched data)",
+    (zipfile.ZIP_BZIP2, None): "compression method 12 is neither stored nor deflated",
+    (zipfile.ZIP_DEFLATED, _short_size): "runs past its declared 4590 bytes",
+    (zipfile.ZIP_STORED, _short_size): "runs past its declared 4590 bytes",
+}
+
+
 @pytest.mark.parametrize("compression, damage, fails", [
     (zipfile.ZIP_DEFLATED, _garble_payload, True),
     (zipfile.ZIP_DEFLATED, _bad_magic, True),
@@ -337,7 +353,12 @@ def _loader_result(path):
     (zipfile.ZIP_DEFLATED, _short_size, True),
     (zipfile.ZIP_STORED, _short_size, True),
 ])
-def test_loader_agrees_with_zipfile(tmp_path, compression, damage, fails):
+def test_loader_agrees_with_zipfile(tmp_path, forbid_member_reads,
+                                    compression, damage, fails):
+    """Where zipfile reads a stored or deflated member the loader gives its
+    bytes; where zipfile fails, and for a bzip2 member, which no Android
+    reader takes, the loader refuses the app with a reason naming the member
+    and the check, without reading any member through zipfile."""
     data, central = _member_archive(compression)
     if damage is not None:
         damage(data, central)
@@ -345,7 +366,32 @@ def test_loader_agrees_with_zipfile(tmp_path, compression, damage, fails):
     apk.write_bytes(bytes(data))
     want = _zipfile_result(apk)
     assert isinstance(want, str) is fails
-    assert _loader_result(apk) == want
+    refusal = _REFUSALS.get((compression, damage))
+    assert refusal is not None or not fails
+    forbid_member_reads()
+    got = _loader_result(apk)
+    assert got == (want if refusal is None else f"member {SMALI!r}: {refusal}")
+
+
+def _utf8_flag_on_bad_name(data, central):
+    data[central + 9] |= 0x08                    # flag 0x800
+    data[central + 46 + 6] = 0xFF                # "smali/" then no UTF-8
+
+
+def _new_version(data, central):
+    data[central + 6] = 77                       # needs version 7.7
+
+
+@pytest.mark.parametrize("damage", [_utf8_flag_on_bad_name, _new_version])
+def test_central_directory_zipfile_cannot_list_is_unscannable(tmp_path, damage):
+    data, central = _member_archive()
+    damage(data, central)
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    with pytest.raises(scan.UnscannableApkError) as raised:
+        scan.load_app(apk)
+    verdict = scan.scan_path(apk)
+    assert verdict.error == raised.value.reason and not verdict.is_dl
 
 
 class _Unseekable(io.RawIOBase):
@@ -361,7 +407,7 @@ class _Unseekable(io.RawIOBase):
         return self.buf.write(b)
 
 
-def test_plain_members_are_read_without_zipfile(tmp_path, monkeypatch):
+def test_plain_members_are_read_without_zipfile(tmp_path, forbid_member_reads):
     stream = _Unseekable()
     with zipfile.ZipFile(stream, "w", zipfile.ZIP_DEFLATED) as zf:
         zf.writestr("AndroidManifest.xml", "<manifest/>")
@@ -374,13 +420,26 @@ def test_plain_members_are_read_without_zipfile(tmp_path, monkeypatch):
     apk = tmp_path / "app.apk"
     apk.write_bytes(stream.buf.getvalue())
     want = _zipfile_result(apk)
-
-    def no_slow_path(*args, **kwargs):
-        raise AssertionError("member read through zipfile")
-    monkeypatch.setattr(zipfile.ZipFile, "open", no_slow_path)
+    forbid_member_reads()
     app = scan.load_app(apk)
     assert app.data == want and len(want) == 4
     assert app.entries == tuple(info.filename for info in infos)
+
+
+@pytest.mark.parametrize("bit", [0x002, 0x004])
+def test_compression_level_bits_are_read_without_zipfile(tmp_path, forbid_member_reads,
+                                                         bit):
+    """``zip -9`` and ``zip -1`` mark deflated members with flag bit 0x002 or
+    0x004; those bits change nothing the reader needs."""
+    data, central = _member_archive()
+    data[central + 8] |= bit
+    data[_local(data, central).header_offset + 6] |= bit
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    want = _zipfile_result(apk)
+    assert isinstance(want, dict)
+    forbid_member_reads()
+    assert scan.load_app(apk).data == want
 
 
 def test_member_cannot_inflate_past_its_declared_size(tmp_path, monkeypatch):
@@ -388,6 +447,7 @@ def test_member_cannot_inflate_past_its_declared_size(tmp_path, monkeypatch):
     struct.pack_into("<L", data, central + 24, 10)       # file_size: 10 bytes
     apk = tmp_path / "app.apk"
     apk.write_bytes(bytes(data))
+    assert isinstance(_zipfile_result(apk), str)
     inflated = []
 
     class Spy:
@@ -398,10 +458,32 @@ def test_member_cannot_inflate_past_its_declared_size(tmp_path, monkeypatch):
             out = self.inner.decompress(raw, max_length)
             inflated.append(len(out))
             return out
+
+        @property
+        def unconsumed_tail(self):
+            return self.inner.unconsumed_tail
     monkeypatch.setattr(scan, "zlib", types.SimpleNamespace(
         decompressobj=Spy, crc32=zlib.crc32, error=zlib.error))
-    assert _loader_result(apk) == _zipfile_result(apk)
+    assert _loader_result(apk) == f"member {SMALI!r}: runs past its declared 10 bytes"
     assert inflated == [len("<manifest/>"), 10 + 1]     # stopped past 10 bytes
+
+
+@pytest.mark.parametrize("method, reason", [
+    (zipfile.ZIP_DEFLATED, "runs past its declared 10 bytes"),
+    (zipfile.ZIP_BZIP2, "compression method 12 is neither stored nor deflated"),
+], ids=["deflate", "bzip2"])
+def test_bomb_member_is_refused_in_bounded_memory(tmp_path, bomb_archive,
+                                                  forbid_member_reads, method, reason):
+    apk = bomb_archive(tmp_path / "bomb.apk", "smali/B.smali", method)
+    forbid_member_reads()
+    tracemalloc.start()
+    try:
+        got = _loader_result(apk)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert got == f"member 'smali/B.smali': {reason}"
+    assert peak < (1 << 20), peak            # 16 MB of zeros, never inflated
 
 
 @pytest.mark.parametrize("reported", [0, 10, 200_000])
