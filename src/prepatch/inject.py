@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import locate, scan, smali
+from . import locate, smali
 from .locate import ConstructorMatch
 from .perturbation import PerturbationSpec
 
@@ -161,7 +161,7 @@ def _patch_const_line(lines: Sequence[str], rel: str, line_index: int,
 def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
                 spec: PerturbationSpec, plan: InjectionPlan) -> None:
     rel = match.unit_path
-    unit = index.by_path.get(rel)
+    unit = index.unit(rel)
     if unit is None:
         raise StalePlanError(f"{rel}: matched unit is not in the tree")
     lines = unit.lines
@@ -225,11 +225,9 @@ def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
 
 
 def _marked_file(index: locate.ClassIndex) -> Optional[str]:
-    """First smali file, parsed or not, that carries the marker."""
-    marked = [rel for rel, unit in index.by_path.items()
-              if has_marker(unit.text)]
-    marked += [rel for rel, text in index.unparsed.items() if has_marker(text)]
-    return min(marked, key=scan.tree_order, default=None)
+    """First smali file in tree order, parsed or not, that carries the
+    marker; its text is searched, so no file is parsed."""
+    return next((rel for rel, text in index.texts() if has_marker(text)), None)
 
 
 def plan_index(name: str, spec: PerturbationSpec, index: locate.ClassIndex,
@@ -322,7 +320,7 @@ def render_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
     """Unified diff of the plan against the indexed lines, without writing."""
     chunks = []
     for rel, patches in _by_file(plan).items():
-        text = _Text.of(index.by_path[rel].text)
+        text = _Text.of(index.unit(rel).text)
         chunks.append("\n".join(difflib.unified_diff(
             text.lines, _patched(text, rel, patches).lines,
             fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm="")))
@@ -358,7 +356,7 @@ def _take_lock(lock: Path) -> None:
 def _lock_text(lock: Path) -> Optional[str]:
     try:
         return lock.read_text(encoding="utf-8")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
 
 
@@ -370,13 +368,15 @@ def _parse_owner(text: Optional[str]) -> Optional[dict]:
     return owner if isinstance(owner, dict) else None
 
 
-def _owner_is_dead(owner: Optional[dict]) -> bool:
-    """Whether ``owner`` is a process of this host that no longer exists."""
+def _local_pid(owner: Optional[dict]) -> Optional[int]:
+    """The pid ``owner`` names if it is a process of this host."""
     if owner is None or owner.get("host") != os.uname().nodename:
-        return False
+        return None
     pid = owner.get("pid")
-    if type(pid) is not int or pid <= 0:
-        return False
+    return pid if type(pid) is int and pid > 0 else None
+
+
+def _pid_is_gone(pid: int) -> bool:
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -386,8 +386,14 @@ def _owner_is_dead(owner: Optional[dict]) -> bool:
     return False
 
 
-def _break_lock(lock: Path, seen: str) -> None:
-    """Remove ``lock`` if it still holds the text ``seen``.
+def _owner_is_dead(owner: Optional[dict]) -> bool:
+    """Whether ``owner`` is a process of this host that no longer exists."""
+    pid = _local_pid(owner)
+    return pid is not None and _pid_is_gone(pid)
+
+
+def _break_lock(lock: Path, seen: Optional[str]) -> bool:
+    """Remove ``lock`` if it still holds the text ``seen``; whether it did.
 
     The lock is first renamed to a name of this process, so of two
     processes breaking the same stale lock only one removes it; a live
@@ -397,12 +403,14 @@ def _break_lock(lock: Path, seen: str) -> None:
     try:
         os.rename(lock, grabbed)
     except FileNotFoundError:
-        return
+        return False
     try:
-        if grabbed.read_text(encoding="utf-8") != seen:
+        if _lock_text(grabbed) != seen:
             os.link(grabbed, lock)
+            return False
     finally:
         grabbed.unlink()
+    return True
 
 
 def _held_message(lock: Path, text: Optional[str]) -> str:
@@ -411,6 +419,30 @@ def _held_message(lock: Path, text: Optional[str]) -> str:
         return (f"lock file {lock} exists with no readable owner; "
                 f"concurrent injection?")
     return (f"lock file {lock} is held by pid {owner.get('pid')} on "
+            f"{owner.get('host')} since {owner.get('time')}")
+
+
+def break_lock(root: Path) -> Optional[str]:
+    """Remove the lock beside ``root`` unless a live process of this host
+    holds it, and describe the owner it removed: a process of another host,
+    a dead process of this host, or an owner that cannot be read (a kill
+    between creating the lock and writing it). None if there is no lock,
+    or another process removed or replaced it meanwhile.
+    Raises LockHeldError for a live (or possibly live) owner of this host.
+    A journal the lock guarded is left for the next recovery."""
+    lock = _beside(root, LOCK_SUFFIX)
+    if not os.path.lexists(lock):
+        return None
+    seen = _lock_text(lock)
+    owner = _parse_owner(seen)
+    pid = _local_pid(owner)
+    if pid is not None and not _pid_is_gone(pid):
+        raise LockHeldError(_held_message(lock, seen))
+    if not _break_lock(lock, seen):
+        return None
+    if owner is None:
+        return f"lock file {lock} with no readable owner ({seen!r})"
+    return (f"lock file {lock} of pid {owner.get('pid')} on "
             f"{owner.get('host')} since {owner.get('time')}")
 
 

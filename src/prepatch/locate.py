@@ -10,6 +10,13 @@ Three passes over the smali of one app:
   from constant literals and framework names, so renaming app identifiers
   does not disturb them.
 
+The passes read classes through a ``ClassIndex``, which parses a class
+only when a pass first reads it: anchors parse only classes whose text
+names an inference API owner, matching only classes whose text has a
+constructor and an ``iput`` into an own field, and slicing only the
+classes a slice reaches. Their results equal those of parsing every class
+first.
+
 Strategy constants, in precedence order:
 
 * buffer wrappers store an image-format tag of 842094169 or 17 into an
@@ -26,7 +33,8 @@ import dataclasses
 import gc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from . import scan, smali
 from .smali import Instruction, MethodRef, OpKind, Register, SmaliMethod, SmaliUnit
@@ -220,26 +228,150 @@ class ConstructorMatch:
 # class index
 
 
+class _Views(NamedTuple):
+    by_path: Dict[str, SmaliUnit]
+    by_class: Dict[str, Tuple[str, SmaliUnit]]
+    issues: List[Tuple[str, str]]
+    unparsed: Dict[str, str]
+
+
+def _declared_class(text: str) -> Optional[str]:
+    """The descriptor a smali text declares: the last token of its first
+    line that strips to ``.class…``. ``smali.parse_unit`` reads the class
+    name from that line and refuses a ``.method`` before it, so a text
+    that parses declares exactly this class."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end].strip()
+        if line.startswith(".class"):
+            return line.split()[-1]
+        start = end + 1
+    return None
+
+
 class ClassIndex:
-    """Descriptor -> parsed unit lookup over one app tree."""
+    """Descriptor -> parsed unit lookup over one app tree.
+
+    Indexing decodes every smali file and reads the descriptor each one
+    declares, but parses (and so validates) a file with ``smali.parse_unit``
+    only when a stage first reads its class, and never twice. Lookups give
+    exactly what parsing every file first would: a descriptor resolves to
+    the first file in tree order that declares it and parses, and a later
+    file of that class is shadowed. ``owned_units`` walks the owned classes
+    in path order and skips, unparsed, every file whose text fails a test
+    each hit needs.
+
+    ``by_path``, ``by_class``, ``issues`` and ``unparsed`` are the eager
+    views: their first use parses every file in tree order.
+    """
 
     def __init__(self) -> None:
-        self.by_class: Dict[str, Tuple[str, SmaliUnit]] = {}
-        self.by_path: Dict[str, SmaliUnit] = {}
-        self.issues: List[Tuple[str, str]] = []
-        # Text of smali files that decoded but did not parse.
-        self.unparsed: Dict[str, str] = {}
+        # Decoded text of each smali file, in tree order; None if it did
+        # not decode.
+        self._texts: Dict[str, Optional[str]] = {}
+        # Each file's parse: its unit, or the error that refused it (a
+        # file that did not decode has its decode error from the start).
+        self._parsed: Dict[str, Union[SmaliUnit, str]] = {}
+        # Descriptor -> the paths of the files declaring it, in tree order.
+        self._declaring: Dict[str, List[str]] = {}
+        self._views: Optional[_Views] = None
 
-    def add(self, rel_path: str, unit: SmaliUnit) -> None:
-        self.by_path[rel_path] = unit
-        first, _ = self.by_class.setdefault(unit.class_name, (rel_path, unit))
-        if first != rel_path:
-            self.issues.append(
-                (rel_path, f"duplicate class {unit.class_name}; "
-                           f"first defined in {first}"))
+    def unit(self, rel_path: str) -> Optional[SmaliUnit]:
+        """The parsed class of the smali file ``rel_path``, parsed on the
+        first call; None if the file does not decode or parse, or is not
+        one of the app's smali files."""
+        parsed = self._parsed.get(rel_path)
+        if parsed is None:
+            text = self._texts.get(rel_path)
+            if text is None:
+                return None
+            try:
+                parsed = smali.parse_unit(text)
+            except smali.SmaliSyntaxError as exc:
+                parsed = str(exc)
+            self._parsed[rel_path] = parsed
+        return parsed if isinstance(parsed, SmaliUnit) else None
 
     def resolve(self, descriptor: str) -> Optional[Tuple[str, SmaliUnit]]:
-        return self.by_class.get(descriptor)
+        """The file that owns ``descriptor``: the first in tree order that
+        declares it and parses."""
+        for rel in self._declaring.get(descriptor, ()):
+            unit = self.unit(rel)
+            if unit is not None:
+                return rel, unit
+        return None
+
+    def owned_units(self, may_hit: Callable[[str, str], bool]
+                    ) -> Iterator[Tuple[str, SmaliUnit]]:
+        """``(path, unit)`` of each class the index owns, in path order
+        (that of ``owned_paths()``). A file for which ``may_hit(text,
+        descriptor)`` is false is skipped without being parsed, so
+        ``may_hit`` must hold for every file a caller can find a hit in."""
+        hits = sorted((rel, descriptor)
+                      for descriptor, paths in self._declaring.items()
+                      for rel in paths if may_hit(self._texts[rel], descriptor))
+        for rel, descriptor in hits:
+            owner = self.resolve(descriptor)
+            if owner is not None and owner[0] == rel:
+                yield owner
+
+    def texts(self) -> Iterator[Tuple[str, str]]:
+        """``(path, text)`` of every smali file that decoded, parsed or
+        not, in tree order."""
+        return ((rel, text) for rel, text in self._texts.items()
+                if text is not None)
+
+    def _eager(self) -> _Views:
+        """The eager views, from parsing every file in tree order."""
+        if self._views is None:
+            views = _Views({}, {}, [], {})
+            # Parsed units hold no reference cycles, so a collection while
+            # they are built would only walk them again and free nothing.
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for rel, text in self._texts.items():
+                    unit = self.unit(rel)
+                    if unit is None:
+                        views.issues.append((rel, self._parsed[rel]))
+                        if text is not None:
+                            views.unparsed[rel] = text
+                        continue
+                    views.by_path[rel] = unit
+                    first, _ = views.by_class.setdefault(unit.class_name, (rel, unit))
+                    if first != rel:
+                        views.issues.append(
+                            (rel, f"duplicate class {unit.class_name}; "
+                                  f"first defined in {first}"))
+            finally:
+                if was_enabled:
+                    gc.enable()
+            self._views = views
+        return self._views
+
+    @property
+    def by_path(self) -> Dict[str, SmaliUnit]:
+        """Every file that parses -> its unit, in tree order."""
+        return self._eager().by_path
+
+    @property
+    def by_class(self) -> Dict[str, Tuple[str, SmaliUnit]]:
+        """Descriptor -> (path, unit) of the file that owns it."""
+        return self._eager().by_class
+
+    @property
+    def issues(self) -> List[Tuple[str, str]]:
+        """(path, error) of each file that did not decode or parse, or
+        declares a class an earlier file owns, in tree order."""
+        return self._eager().issues
+
+    @property
+    def unparsed(self) -> Dict[str, str]:
+        """Text of the smali files that decoded but did not parse."""
+        return self._eager().unparsed
 
     def owned_paths(self) -> List[str]:
         """Sorted paths of the files that own their class descriptor; a
@@ -258,39 +390,34 @@ class ClassIndex:
         (strict UTF-8, universal newlines), so line indexes match a disk
         read; a file that does not decode or parse is recorded in
         ``issues``. On a duplicate class descriptor the first file in tree
-        order wins and each later one is recorded in ``issues``.
+        order that parses wins and each later one is recorded in ``issues``.
 
         Strict UTF-8 text without a ``\\r`` encodes back to its bytes, so
         such a bytes value is replaced in ``files`` by its text, the object
-        the unit (or ``unparsed``) keeps: the text is then the file's only
-        copy. Bytes that hold a ``\\r`` or do not decode stay in ``files``.
+        the index (and later its unit) keeps: the text is then the file's
+        only copy. Bytes that hold a ``\\r`` or do not decode stay in
+        ``files``. No file is parsed here.
         """
         index = cls()
-        # Parsed units hold no reference cycles, so a collection during
-        # indexing would only walk them again and free nothing.
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for rel in sorted(files, key=scan.tree_order):
-                if not rel.endswith(".smali"):
-                    continue
-                text = files[rel]
+        for rel in sorted(files, key=scan.tree_order):
+            if not rel.endswith(".smali"):
+                continue
+            text = files[rel]
+            if isinstance(text, bytes):
                 try:
-                    if isinstance(text, bytes):
-                        text = text.decode("utf-8")
-                        if "\r" in text:
-                            text = text.replace("\r\n", "\n").replace("\r", "\n")
-                        else:
-                            files[rel] = text
-                    index.add(rel, smali.parse_unit(text))
+                    text = text.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    index.issues.append((rel, str(exc)))
-                except smali.SmaliSyntaxError as exc:
-                    index.issues.append((rel, str(exc)))
-                    index.unparsed[rel] = text
-        finally:
-            if was_enabled:
-                gc.enable()
+                    index._texts[rel] = None
+                    index._parsed[rel] = str(exc)
+                    continue
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                else:
+                    files[rel] = text
+            index._texts[rel] = text
+            descriptor = _declared_class(text)
+            if descriptor is not None:
+                index._declaring.setdefault(descriptor, []).append(rel)
         return index
 
 
@@ -299,26 +426,26 @@ class ClassIndex:
 
 
 def _mentions_inference_owner(text: str) -> bool:
+    """Whether ``text`` names an inference API owner. An inference invoke
+    names its owner in its own line, and no prefix holds a newline, so a
+    class or method whose text names none has no anchor."""
     return any(prefix in text for prefix in INFERENCE_OWNER_PREFIXES)
 
 
 def _methods_with_anchors(unit: SmaliUnit) -> List[SmaliMethod]:
-    """The unit's methods whose lines name an inference API owner. An
-    inference invoke names its owner in its own line, so no other method has
-    an anchor, and their instructions need not be built. A method's body is
-    part of the unit's text and no prefix holds a newline, so a unit whose
-    text names no owner has no such method and is not split into lines."""
-    if not _mentions_inference_owner(unit.text):
-        return []
+    """The unit's methods whose lines name an inference API owner; no other
+    method has an anchor, so their instructions need not be built."""
     lines = unit.text.split("\n")
     return [m for m in unit.methods if _mentions_inference_owner(
         "\n".join(lines[m.header_line_index:m.end_line_index]))]
 
 
 def find_anchors(index: ClassIndex) -> List[SliceAnchor]:
+    """Inference calls in the classes the index owns, in path order; a
+    class whose text names no inference owner is not parsed."""
     anchors: List[SliceAnchor] = []
-    for rel_path in index.owned_paths():
-        unit = index.by_path[rel_path]
+    for rel_path, unit in index.owned_units(
+            lambda text, _: _mentions_inference_owner(text)):
         for method in _methods_with_anchors(unit):
             for instr in method.instructions:
                 if instr.kind is not OpKind.INVOKE:
@@ -503,7 +630,7 @@ def _lookup_method(unit: SmaliUnit, ref: MethodRef) -> Optional[SmaliMethod]:
 def backward_slice(index: ClassIndex, anchor: SliceAnchor,
                    depth: int = 1) -> SliceResult:
     """Trace an anchor argument back to the calls that built the image."""
-    unit = index.by_path[anchor.unit_path]
+    unit = index.unit(anchor.unit_path)
     method = next(m for m in unit.methods
                   if m.signature == anchor.method_signature)
     slicer = _Slicer(index)
@@ -743,11 +870,19 @@ def match_constructors(unit: SmaliUnit, unit_path: str) -> List[ConstructorMatch
     return matches
 
 
+def _may_match(text: str, descriptor: str) -> bool:
+    """Whether a class with this text could match: a match needs an
+    ``<init>`` that stores into an own field with ``iput``, whose line
+    names the field as ``<descriptor>->``."""
+    return "<init>(" in text and "iput" in text and f"{descriptor}->" in text
+
+
 def match_index(index: ClassIndex) -> List[ConstructorMatch]:
-    """Strategy matches of every class the index owns, in path order."""
+    """Strategy matches of every class the index owns, in path order; a
+    class whose text fails ``_may_match`` is not parsed."""
     matches: List[ConstructorMatch] = []
-    for rel_path in index.owned_paths():
-        matches.extend(match_constructors(index.by_path[rel_path], rel_path))
+    for rel_path, unit in index.owned_units(_may_match):
+        matches.extend(match_constructors(unit, rel_path))
     return matches
 
 
@@ -758,11 +893,20 @@ def match_index(index: ClassIndex) -> List[ConstructorMatch]:
 @dataclass
 class AnalysisResult:
     root: str
-    units: int
+    index: ClassIndex = field(repr=False, compare=False)
     anchors: List[SliceAnchor] = field(default_factory=list)
     slices: List[SliceResult] = field(default_factory=list)
     matches: List[ConstructorMatch] = field(default_factory=list)
-    issues: List[Tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def units(self) -> int:
+        """Classes that parse; the first read parses every class."""
+        return len(self.index.by_path)
+
+    @property
+    def issues(self) -> List[Tuple[str, str]]:
+        """The index's issues; the first read parses every class."""
+        return list(self.index.issues)
 
     def to_dict(self) -> dict:
         return {
@@ -778,9 +922,8 @@ class AnalysisResult:
 def analyze_index(index: ClassIndex, name: str, depth: int = 1) -> AnalysisResult:
     anchors = find_anchors(index)
     slices = [backward_slice(index, anchor, depth=depth) for anchor in anchors]
-    return AnalysisResult(root=name, units=len(index.by_path), anchors=anchors,
-                          slices=slices, matches=match_index(index),
-                          issues=list(index.issues))
+    return AnalysisResult(root=name, index=index, anchors=anchors,
+                          slices=slices, matches=match_index(index))
 
 
 def analyze_files(files: Dict[str, object], name: str = "",

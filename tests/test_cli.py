@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import tempfile
 import zipfile
 
@@ -180,7 +181,7 @@ def test_inject_dry_run_on_archive_writes_nothing(corpus, tmp_path, capsys,
     assert list(temp.iterdir()) == []
 
 
-def test_inject_archive_reads_once_and_parses_each_class_once(
+def test_inject_archive_reads_once_and_parses_only_the_wrapper(
         corpus, tmp_path, capsys, monkeypatch):
     apk = corpus[0] / "app02_s2.apk"
     loads, parses = [], []
@@ -201,8 +202,11 @@ def test_inject_archive_reads_once_and_parses_each_class_once(
                         "--workdir", str(workdir)], capsys)
     assert code == 0 and "applied 1 patches to 1 files" in out
     assert loads == [apk]
+    # Planning parses only the classes that could match, each once: here
+    # the wrapper alone, of the archive's 11 smali files.
     with zipfile.ZipFile(apk) as zf:
-        assert len(parses) == sum(n.endswith(".smali") for n in zf.namelist())
+        wrapper = next(n for n in zf.namelist() if n.endswith("ImageHolder.smali"))
+        assert parses == [zf.read(wrapper).decode()]
     assert [p.name for p in workdir.iterdir()] == ["app02_s2"]
 
 
@@ -234,7 +238,7 @@ def test_inject_archive_with_nothing_to_patch_extracts_nothing(
     assert list(workdir.iterdir()) == []
 
 
-def test_inject_parses_each_class_once(tree, capsys, monkeypatch):
+def test_inject_parses_only_the_wrapper_once(tree, capsys, monkeypatch):
     calls = []
     real_parse = smali.parse_unit
 
@@ -243,9 +247,12 @@ def test_inject_parses_each_class_once(tree, capsys, monkeypatch):
         return real_parse(text)
 
     monkeypatch.setattr(smali, "parse_unit", counting_parse)
+    (wrapper,) = tree.rglob("ImageHolder.smali")
+    before = wrapper.read_text()
+    assert len(list(tree.rglob("*.smali"))) > 1
     code, _, _ = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == 0
-    assert len(calls) == len(list(tree.rglob("*.smali")))
+    assert calls == [before]
 
 
 def test_inject_no_matches_exit_code(tmp_path, capsys):
@@ -322,6 +329,61 @@ def test_inject_tree_with_a_held_lock_to_recover_is_blocked(tree, capsys):
     assert lock.exists()
 
 
+_FOREIGN = {"pid": 4242, "host": "elsewhere.invalid", "time": "t0"}
+
+
+@pytest.mark.parametrize("held, owner", [
+    (json.dumps(_FOREIGN).encode(), "pid 4242 on elsewhere.invalid since t0"),
+    (b"", "no readable owner ('')"),
+    (b"held", "no readable owner ('held')"),
+    (b"\xff\xfe", "no readable owner (None)"),
+    (json.dumps({"host": os.uname().nodename}).encode(), "pid None on"),
+])
+def test_inject_break_lock_removes_a_foreign_or_unreadable_lock(
+        tree, capsys, held, owner):
+    lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
+    lock.write_bytes(held)
+    args = ["inject", str(tree), "--rotation-delta", "90"]
+    code, _, err = run(args, capsys)
+    assert code == cli.EXIT_BLOCKED and "blocked: lock file" in err
+    assert lock.read_bytes() == held
+    code, out, err = run([*args, "--break-lock"], capsys)
+    assert code == 0 and "applied 1 patches" in out
+    assert f"broke lock file {lock}" in err and owner in err
+    assert not lock.exists()
+
+
+def test_inject_break_lock_keeps_a_live_lock_of_this_host(tree, capsys):
+    lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
+    held = json.dumps({"pid": os.getpid(), "host": os.uname().nodename,
+                       "time": "t"})
+    lock.write_text(held)
+    before = _files(tree)
+    code, _, err = run(["inject", str(tree), "--rotation-delta", "90",
+                        "--break-lock"], capsys)
+    assert code == cli.EXIT_BLOCKED and f"pid {os.getpid()}" in err
+    assert "broke" not in err
+    assert lock.read_text() == held and _files(tree) == before
+
+
+def test_inject_break_lock_beside_an_archive_work_tree(corpus, tmp_path, capsys):
+    apk = corpus[0] / "app02_s2.apk"
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    lock = workdir / ("app02_s2" + inject.LOCK_SUFFIX)
+    lock.write_text(json.dumps(_FOREIGN))
+    code, out, err = run(["inject", str(apk), "--rotation-delta", "90",
+                          "--workdir", str(workdir), "--break-lock"], capsys)
+    assert code == 0 and "applied 1 patches" in out
+    assert "on elsewhere.invalid" in err and not lock.exists()
+
+
+def test_inject_break_lock_is_refused_with_dry_run(tree, capsys):
+    code, _, err = run(["inject", str(tree), "--rotation-delta", "90",
+                        "--dry-run", "--break-lock"], capsys)
+    assert code == cli.EXIT_USAGE and "--break-lock" in err
+
+
 class _Killed(BaseException):
     """Stands in for the process dying inside an apply."""
 
@@ -359,6 +421,30 @@ def test_inject_dry_run_with_a_pending_journal_writes_nothing(tree, capsys,
     assert dry[0] == cli.EXIT_BLOCKED and "already carries" in dry[2]
     # An apply recovers the tree first and is stopped the same way.
     assert run(["inject", str(tree), *flags], capsys) == dry
+
+
+def test_inject_break_lock_then_recovers_the_pending_journal(
+        tree, tmp_path, capsys, monkeypatch):
+    applied = tmp_path / "applied"
+    shutil.copytree(tree, applied)
+    inject.apply_plan(applied, inject.plan_injection(
+        applied, PerturbationSpec(rotation_delta=90)))
+    _interrupted_apply(tree, monkeypatch, "replace")
+    lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
+    lock.write_text(json.dumps(_FOREIGN))
+    args = ["inject", str(tree), "--rotation-delta", "90"]
+    code, _, err = run(args, capsys)
+    assert code == cli.EXIT_BLOCKED and "elsewhere.invalid" in err
+    assert (tree.parent / (tree.name + inject.JOURNAL_SUFFIX)).exists()
+
+    # The journal is rolled forward, so the tree is the applied one and the
+    # marker it now carries stops a second patch.
+    code, _, err = run([*args, "--break-lock"], capsys)
+    assert "broke lock file" in err
+    assert code == cli.EXIT_BLOCKED and "already carries" in err
+    assert _files(tree) == _files(applied)
+    assert sorted(p.name for p in tree.parent.iterdir()) == sorted(
+        [tree.name, "applied"])
 
 
 def test_inject_dry_run_over_a_torn_journal_prints_the_diff(tree, capsys,

@@ -2,8 +2,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prepatch import inject, locate, smali, synth
+from prepatch import inject, locate, scan, smali, synth
 from prepatch.perturbation import PerturbationSpec
 
 
@@ -501,3 +503,139 @@ def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
     result = inject.apply_plan(tmp_path / "app", plan)
     assert result.files_changed == [first]
     assert (tmp_path / "app" / second).read_text() == files[second]
+
+
+# ---------------------------------------------------------------------------
+# lazy parsing is exact: the walks, lookups and marker search of an index
+# that parses a class only when a stage reads it equal those of one that
+# parsed every class first
+
+
+def _reference_anchors(index):
+    """Anchors from every method of every owned class, read through
+    ``by_path`` with no text filter."""
+    anchors = []
+    for rel in index.owned_paths():
+        unit = index.by_path[rel]
+        for method in unit.methods:
+            for instr in method.instructions:
+                ref = instr.method_ref
+                if instr.kind is not smali.OpKind.INVOKE or ref is None \
+                        or not locate.is_inference_call(ref):
+                    continue
+                regs = list(instr.invoke_registers)
+                args = regs if instr.opcode.startswith("invoke-static") else regs[1:]
+                anchors.append(locate.SliceAnchor(
+                    rel, unit.class_name, method.signature, instr.line_index,
+                    ref, args[0] if args else None))
+    return anchors
+
+
+def _reference_marked(index):
+    marked = [rel for rel, unit in index.by_path.items()
+              if inject.has_marker(unit.text)]
+    marked += [rel for rel, text in index.unparsed.items()
+               if inject.has_marker(text)]
+    return min(marked, key=scan.tree_order, default=None)
+
+
+def _assert_lazy_is_exact(files):
+    lazy = locate.ClassIndex.from_files(dict(files))
+    anchors = locate.find_anchors(lazy)
+    matches = locate.match_index(lazy)
+    marked = inject._marked_file(lazy)
+    slices = [locate.backward_slice(lazy, a) for a in anchors]
+
+    eager = locate.ClassIndex.from_files(dict(files))
+    eager.by_path   # parse every class first
+    assert anchors == _reference_anchors(eager)
+    assert matches == [m for rel in eager.owned_paths()
+                       for m in locate.match_constructors(eager.by_path[rel], rel)]
+    assert marked == _reference_marked(eager)
+    assert slices == [locate.backward_slice(eager, a) for a in anchors]
+
+    fresh = locate.ClassIndex.from_files(dict(files))
+    for descriptor in set(eager.by_class) | set(fresh._declaring):
+        assert fresh.resolve(descriptor) == eager.by_class.get(descriptor)
+    for rel in files:
+        assert fresh.unit(rel) == eager.by_path.get(rel)
+    # Forcing the eager views of the lazy index gives the same views.
+    assert list(lazy.by_path) == list(eager.by_path)
+    assert lazy.issues == eager.issues and lazy.unparsed == eager.unparsed
+    assert lazy.owned_paths() == eager.owned_paths()
+
+
+def test_lazy_index_is_exact_on_the_labelled_corpus(corpus):
+    _, entries = corpus
+    checked = 0
+    for entry in entries:
+        try:
+            app = scan.load_app(entry.path)
+        except scan.UnscannableApkError:
+            continue
+        _assert_lazy_is_exact(app.data)
+        checked += 1
+    assert checked == 20
+
+
+_UNREAD_BROKEN_METHOD = (
+    "\n.method private zzUnread()V\n    .locals 1\n\n"
+    "    const/16 v0, zz\n\n    return-void\n.end method\n")
+
+
+def _mutate(files, op, target):
+    """Apply one hostile edit to the smali file ``target`` of ``files``."""
+    text = files[target]
+    head, rest = target.split("/", 1)
+    if op == "break":
+        files[target] = text + _UNREAD_BROKEN_METHOD
+    elif op in ("dup_broken_first", "dup_broken_later", "dup"):
+        # "smali/com-dup/..." sorts before "smali/com/..." as a string but
+        # after it in tree order, so walk order and ownership order differ.
+        for other in ("smali_classes2/" + rest, target.replace("/com/", "/com-dup/", 1)):
+            files[other] = text
+        if op == "dup_broken_first":
+            files[target] = text + _UNREAD_BROKEN_METHOD
+        elif op == "dup_broken_later":
+            files["smali_classes2/" + rest] = text + _UNREAD_BROKEN_METHOD
+    elif op == "twin":
+        # The same class under another name, in a folder that sorts before
+        # the original's as a string but after it in tree order.
+        descriptor = text.split("\n", 1)[0].split()[-1]
+        files[target.replace("/com/", "/com-dup/", 1)] = text.replace(
+            descriptor, descriptor[:-1] + "Twin;")
+    elif op == "undecodable":
+        files[target] = b"\xff" + text.encode()
+    elif op == "crlf":
+        files[target] = text.replace("\n", "\r\n").encode()
+    elif op == "marker":
+        files[target] = text.replace(".super", inject.MARKER_FIELD + "\n.super", 1)
+    elif op == "marker_broken":
+        files[target] = (text + _UNREAD_BROKEN_METHOD).replace(
+            ".super", inject.MARKER_FIELD + "\n.super", 1)
+
+
+_OPS = ("break", "dup_broken_first", "dup_broken_later", "dup", "twin",
+        "undecodable", "crlf", "marker", "marker_broken")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["s1", "s2", "s3", "negative", "nondl"]),
+       index=st.integers(0, 5), seed=st.integers(0, 2 ** 16),
+       edits=st.lists(st.tuples(st.sampled_from(_OPS),
+                                st.sampled_from(["wrapper", "client", "filler"]),
+                                st.integers(0, 7)), max_size=4))
+def test_lazy_index_is_exact_on_hostile_apps(kind, index, seed, edits):
+    files, _ = synth.build_app_files(kind, index, random.Random(seed))
+    files = {rel: data for rel, data in files.items() if rel.endswith(".smali")}
+    for op, role, pick in edits:
+        smali_texts = sorted(rel for rel, data in files.items()
+                             if isinstance(data, str) and rel.startswith("smali/com/"))
+        pools = {"wrapper": [rel for rel in smali_texts if "/vision/" in rel],
+                 "client": [rel for rel in smali_texts if "MainActivity" in rel],
+                 "filler": [rel for rel in smali_texts if "/util/" in rel]}
+        pool = pools[role]
+        if pool:
+            _mutate(files, op, pool[pick % len(pool)])
+    _assert_lazy_is_exact({rel: data.encode() if isinstance(data, str) else data
+                           for rel, data in files.items()})

@@ -11,7 +11,7 @@ import zlib
 
 import pytest
 
-from prepatch import inject, locate, pipeline, scan, synth
+from prepatch import cli, inject, locate, pipeline, scan, smali, synth
 from prepatch.perturbation import PerturbationSpec
 
 
@@ -412,6 +412,31 @@ def test_after_indexing_the_text_is_the_only_copy_of_a_file(tmp_path):
     assert list(index.unparsed) == ["smali/com/x/Bom.smali",
                                     "smali/com/x/Broken.smali"]
     assert app.data["smali/com/x/Bom.smali"].startswith("\ufeff")
+
+
+def test_pipeline_parses_no_filler_and_locate_parses_every_class_once(
+        tmp_path, capsys, monkeypatch):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    synth._add_fillers(files, "demoapp02/pad", random.Random(6), 1000)
+    apk = tmp_path / f"{truth.name}.apk"
+    apk.write_bytes(synth.zip_app(files))
+    texts = [text for rel, text in files.items() if rel.endswith(".smali")]
+    fillers = {files[rel] for rel in files if "/util/" in rel}
+    assert len(fillers) > 1000
+    parsed, real = [], smali.parse_unit
+    monkeypatch.setattr(smali, "parse_unit",
+                        lambda text: parsed.append(text) or real(text))
+
+    outcome = pipeline.process_app(apk, tmp_path / "work",
+                                   PerturbationSpec(rotation_delta=90))
+    assert outcome.injected and outcome.patches == 1 and outcome.anchors == 1
+    assert parsed and len(set(parsed)) == len(parsed)
+    assert not fillers & set(parsed)
+
+    parsed.clear()
+    assert cli.main(["locate", str(apk)]) == 0
+    assert f"{len(texts)} classes" in capsys.readouterr().out
+    assert sorted(parsed) == sorted(texts)
 
 
 def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
