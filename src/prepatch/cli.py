@@ -255,10 +255,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         try:
             if args.break_lock:
                 _break_lock(base / app.name)
+            tree = pipeline.materialize(app, base)
         except inject.LockHeldError as exc:
             return _blocked(exc)
-        try:
-            tree = pipeline.materialize(app, base)
         except scan.UnscannableApkError as exc:
             print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
             return EXIT_USAGE

@@ -338,7 +338,7 @@ _FOREIGN = {"pid": 4242, "host": "elsewhere.invalid", "time": "t0"}
     (b"held", "no readable owner ('held')"),
     (b"\xff\xfe", "no readable owner (None)"),
     (json.dumps({"host": os.uname().nodename}).encode(), "pid None on"),
-])
+], ids=["foreign", "empty", "not-json", "not-utf8", "no-pid"])
 def test_inject_break_lock_removes_a_foreign_or_unreadable_lock(
         tree, capsys, held, owner):
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
