@@ -6,22 +6,26 @@ the scan, the class index, constructor matching and the injection plan
 all run from that map. Indexing replaces each smali file's bytes with the
 decoded text its class keeps, so the app holds each file once. A DL app
 is written to the working directory only when its plan has patches, and
-then patched in place; a census run without a spec writes nothing. The
-work tree is written from that text, and each other archive member is
-copied from where the load found it, without parsing the archive again.
+then patched; a census run without a spec writes nothing. The work tree
+of a tree source is made of hard links to the source's files, which
+``inject`` replaces rather than writes. An archive's is written from that
+text, and each other member is copied from where the load found it,
+without parsing the archive again.
 The report carries only app names and tree-relative paths, so a rerun
 over the same corpus produces identical bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import logging
 import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from . import inject, locate, scan
 from .perturbation import PerturbationSpec
@@ -93,8 +97,21 @@ class PipelineReport:
         }
 
 
-def _write_file(path: str, data: bytes) -> None:
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+# Errors after which a tree's file is written or copied instead of linked:
+# a work directory on another file system or one that refuses hard links,
+# a link the system forbids, or a source file with too many links.
+_NO_LINK = frozenset({errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP,
+                      errno.EOPNOTSUPP})
+
+
+def _opener(dir_fd: int):
+    """An ``open`` opener for names relative to the open directory
+    ``dir_fd``, creating files with the mode ``open`` gives them."""
+    return lambda name, flags: os.open(name, flags, 0o666, dir_fd=dir_fd)
+
+
+def _write_file(name: str, data: bytes, dir_fd: int) -> None:
+    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
     try:
         written = os.write(fd, data)
         while written < len(data):
@@ -103,17 +120,66 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def materialize(app: scan.AppFiles, workdir: Path) -> Path:
-    """Write a loaded app as the tree ``workdir / app.name``.
+def _write_read_entry(data: Union[bytes, str], name: str, dir_fd: int) -> None:
+    _write_file(name, data.encode("utf-8") if isinstance(data, str) else data,
+                dir_fd)
 
-    Read entries (smali and manifest) are written from ``app.data``: text
-    the class index swapped in is encoded to UTF-8, which gives back the
-    file's bytes (the index keeps the bytes of any file whose text would
-    not). Every other entry is copied from the source: a tree's file as it
-    is, an archive member a chunk at a time, from the spot its load
-    recorded, with the checks of the load's own reads. A member those
-    checks refuse fails the app with ``UnscannableApkError`` naming it, and
-    the partial tree is removed.
+
+def _link_folder(app: scan.AppFiles, folder: str, names: List[str],
+                 dst_fd: int) -> None:
+    """Hard-link each file of a tree source's folder into the open work
+    folder ``dst_fd``, following a link to the file it names; a file the
+    system will not link is written (read entries) or copied instead."""
+    src_fd = os.open(f"{app.source}/{folder}", scan.DIR_FLAGS)
+    try:
+        for name in names:
+            try:
+                os.link(name, name, src_dir_fd=src_fd, dst_dir_fd=dst_fd)
+                continue
+            except OSError as exc:
+                if exc.errno not in _NO_LINK:
+                    raise
+            data = app.data.get(folder + name)
+            if data is not None:
+                _write_read_entry(data, name, dst_fd)
+                continue
+            with open(name, "rb", opener=_opener(src_fd)) as src, \
+                    open(name, "wb", opener=_opener(dst_fd)) as out:
+                shutil.copyfileobj(src, out)
+    finally:
+        os.close(src_fd)
+
+
+def _write_folder(app: scan.AppFiles, folder: str, names: List[str],
+                  dst_fd: int, archive) -> None:
+    """Write each file of an archive source's folder into the open work
+    folder ``dst_fd``: a read entry from ``app.data``, any other member
+    copied from the open ``archive``."""
+    for name in names:
+        data = app.data.get(folder + name)
+        if data is not None:
+            _write_read_entry(data, name, dst_fd)
+            continue
+        with open(name, "wb", opener=_opener(dst_fd)) as out:
+            scan.copy_direct(archive, app.unread[folder + name], out)
+
+
+def materialize(app: scan.AppFiles, workdir: Path) -> Path:
+    """Make a loaded app the tree ``workdir / app.name``.
+
+    Each folder is made once, and its files are made relative to it. A tree
+    source's files are hard links to the source's (a link in the source
+    gives a link to the file it names), so the work tree shares their
+    inodes and modes: ``inject`` replaces a file it edits instead of writing
+    it, and so leaves the source as it was. Where the system will not link
+    a file (another file system, say), the file is written or copied as an
+    archive's is. An archive's read entries (smali and manifest) are
+    written from ``app.data``: text the class index swapped in is encoded
+    to UTF-8, which gives back the file's bytes (the index keeps the bytes
+    of any file whose text would not). Every other member is copied a
+    chunk at a time from the spot its load recorded, with the checks of the
+    load's own reads. A member those checks refuse fails the app with
+    ``UnscannableApkError`` naming it, and the partial tree is removed.
     """
     source = app.source
     if app.unsafe_entry is not None:
@@ -126,28 +192,20 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
     # refused above), so plain strings name the files joined Paths would.
     root = str(tree)
     from_tree = source.is_dir()
-    made = {root}
     try:
-        for rel in app.entries:
-            path = f"{root}/{rel}"
-            folder = path[:path.rindex("/")]
-            if folder not in made:
-                os.makedirs(folder, exist_ok=True)
-                made.add(folder)
-            data = app.data.get(rel)
-            if isinstance(data, str):
-                _write_file(path, data.encode("utf-8"))
-            elif data is not None:
-                _write_file(path, data)
-            elif from_tree:
-                shutil.copyfile(f"{source}/{rel}", path)
+        with open(source, "rb") if app.unread else contextlib.nullcontext() as archive:
+            for folder, names in scan.by_folder(dict.fromkeys(app.entries)).items():
+                os.makedirs(f"{root}/{folder}", exist_ok=True)
+                dst_fd = os.open(f"{root}/{folder}", scan.DIR_FLAGS)
+                try:
+                    if from_tree:
+                        _link_folder(app, folder, names, dst_fd)
+                    else:
+                        _write_folder(app, folder, names, dst_fd, archive)
+                finally:
+                    os.close(dst_fd)
         for rel in app.dirs:
             os.makedirs(f"{root}/{rel}", exist_ok=True)
-        if app.unread:
-            with open(source, "rb") as fh:
-                for rel, member in app.unread.items():
-                    with open(f"{root}/{rel}", "wb") as out:
-                        scan.copy_direct(fh, member, out)
     except (OSError, scan.MemberError) as exc:
         shutil.rmtree(tree, ignore_errors=True)
         raise scan.UnscannableApkError(source, str(exc)) from exc

@@ -6,7 +6,9 @@ manifest, every entry's name and, for an archive, where each other member
 lies, so it can be copied later without parsing the archive again. An
 archive whose central directory lists too many entries, or whose smali and
 manifest members declare too many bytes, is refused before any member is
-read, and a tree's link to a file outside the tree is never read.
+read, and a tree's link to a file outside the tree is never read. A
+tree's folders are each opened once, and its files are read relative to
+them.
 ``zipfile`` only lists the central directory: member data is read here,
 and a member this reader refuses fails its app with a reason naming it.
 
@@ -283,10 +285,28 @@ def copy_direct(fh, member: Member, out) -> None:
 
 def _read_direct(fh, member: Member) -> bytes:
     """A member's bytes read from the open archive file, with the checks
-    of ``copy_direct``."""
-    out = io.BytesIO()
-    copy_direct(fh, member, out)
-    return out.getvalue()
+    of ``copy_direct``, raised in its order. A member whose data fits one
+    chunk is read with one read and inflated with one call."""
+    if member.compress_size > _COPY_CHUNK:
+        out = io.BytesIO()
+        copy_direct(fh, member, out)
+        return out.getvalue()
+    _seek_data(fh, member)
+    raw = fh.read(member.compress_size)
+    data = raw
+    if member.method == zipfile.ZIP_DEFLATED:
+        try:
+            data = zlib.decompressobj(-15).decompress(raw, member.file_size + 1)
+        except zlib.error as exc:
+            raise MemberError(member, f"inflate error: {exc}") from exc
+    crc = zlib.crc32(data)
+    if len(data) > member.file_size:
+        _check(member, len(data), crc)
+    if len(raw) < member.compress_size:
+        raise MemberError(member, f"data is truncated at {len(raw)} "
+                                  f"of {member.compress_size} bytes")
+    _check(member, len(data), crc)
+    return data
 
 
 def _load_archive(path: Path) -> AppFiles:
@@ -322,9 +342,11 @@ def _load_archive(path: Path) -> AppFiles:
     return AppFiles(app_name(path), path, entries, data, unsafe, dirs, unread)
 
 
-def _read_file(path: str) -> bytes:
-    """A whole file, read with one ``os.read`` of its size unless it grew."""
-    fd = os.open(path, os.O_RDONLY)
+def _read_file(path: str, dir_fd: Optional[int] = None) -> bytes:
+    """A whole file, read with one ``os.read`` of its size unless it grew;
+    ``path`` is relative to the open directory ``dir_fd`` when one is given.
+    Every read of a tree's file goes through here."""
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
         size = os.fstat(fd).st_size
         data = os.read(fd, size + 1)
@@ -336,6 +358,20 @@ def _read_file(path: str) -> bytes:
     finally:
         os.close(fd)
     return data
+
+
+DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY
+
+
+def by_folder(rels: Iterable[str]) -> Dict[str, List[str]]:
+    """Relative file paths grouped by folder: each folder ("" for the top,
+    otherwise its path ending in "/") maps to the names of its files, in the
+    order of ``rels``; folders come in the order of their first file."""
+    folders: Dict[str, List[str]] = {}
+    for rel in rels:
+        cut = rel.rfind("/") + 1
+        folders.setdefault(rel[:cut], []).append(rel[cut:])
+    return folders
 
 
 def _escapes(link: str, root: str) -> bool:
@@ -369,9 +405,18 @@ def _load_tree(root: Path) -> AppFiles:
         except PermissionError:
             pass
     entries.sort(key=tree_order)
-    data: Dict[str, Union[bytes, str]] = {
-        rel: _read_file(f"{root}/{rel}") for rel in entries
-        if _is_read(rel) and rel not in escaping}
+    read = [rel for rel in entries if _is_read(rel) and rel not in escaping]
+    # Each folder is opened once and its files are opened relative to it;
+    # ``data`` then takes the files in tree order.
+    found: Dict[str, bytes] = {}
+    for folder, names in by_folder(read).items():
+        fd = os.open(f"{root}/{folder}", DIR_FLAGS)
+        try:
+            for name in names:
+                found[folder + name] = _read_file(name, fd)
+        finally:
+            os.close(fd)
+    data: Dict[str, Union[bytes, str]] = {rel: found[rel] for rel in read}
     unsafe = next((rel for rel in entries if rel in escaping), None)
     return AppFiles(app_name(root), root, tuple(entries), data, unsafe)
 

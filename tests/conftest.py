@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import struct
 import zipfile
@@ -76,3 +77,17 @@ def bomb_archive():
         path.write_bytes(bytes(data))
         return path
     return make
+
+
+@pytest.fixture
+def no_fd_leak():
+    """Fails the test if it leaves a file descriptor open that was not open
+    before it, raw ``os.open`` descriptors included (``-W error::
+    ResourceWarning`` sees only file objects). The check needs
+    ``/proc/self/fd`` and is skipped where there is none."""
+    listed = os.path.isdir("/proc/self/fd")
+    before = set(os.listdir("/proc/self/fd")) if listed else set()
+    yield
+    if listed:
+        left = set(os.listdir("/proc/self/fd")) - before
+        assert not left, f"descriptors left open: {sorted(left, key=int)}"

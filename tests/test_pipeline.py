@@ -1,4 +1,5 @@
 import difflib
+import errno
 import io
 import os
 import random
@@ -110,7 +111,7 @@ def test_work_tree_collision_fails_one_app_only(tmp_path):
     assert "const/16 p2, 0x10e" in wrapper.read_text()
 
 
-def test_unsafe_entry_in_dl_archive_is_refused(tmp_path):
+def test_unsafe_entry_in_dl_archive_is_refused(tmp_path, no_fd_leak):
     apk = tmp_path / "evil.apk"
     _archive(apk, "s2", 2, extra=("../escape.txt",))
     outcome = pipeline.process_app(apk, tmp_path / "work",
@@ -122,7 +123,7 @@ def test_unsafe_entry_in_dl_archive_is_refused(tmp_path):
     assert not (tmp_path / "work").exists()
 
 
-def test_materialize_keeps_every_entry_byte_equal(tmp_path):
+def test_materialize_keeps_every_entry_byte_equal(tmp_path, no_fd_leak):
     apk = tmp_path / "packed.apk"
     files, _ = _archive(apk, "s1", 1)
     tree = pipeline.materialize(scan.load_app(apk), tmp_path / "work")
@@ -163,7 +164,7 @@ def _snapshot(root):
     # directory entries are the only members that are not read
     (True, [("empty/", b""), ("smali/com/x/", b"")]),
 ])
-def test_materialize_matches_extractall(tmp_path, read_only, extra):
+def test_materialize_matches_extractall(tmp_path, no_fd_leak, read_only, extra):
     files, _ = synth.build_app_files("s1", 1, random.Random(5))
     if read_only:
         files = {name: data for name, data in files.items()
@@ -227,7 +228,7 @@ def _odd_archive(path, members):
 
 @pytest.mark.parametrize("indexed", [False, True])
 @pytest.mark.parametrize("bzip2_lzma", [False, True])
-def test_materialize_writes_what_extractall_writes(tmp_path, monkeypatch,
+def test_materialize_writes_what_extractall_writes(tmp_path, no_fd_leak, monkeypatch,
                                                    forbid_member_reads,
                                                    indexed, bzip2_lzma):
     apk = tmp_path / "odd.apk"
@@ -333,7 +334,7 @@ _COPY_REFUSALS = {
     (random.Random(2).randbytes(3 << 20), zipfile.ZIP_STORED),
 ], ids=["zeros-deflated", "random-deflated", "random-stored"])
 @pytest.mark.parametrize("damage", [None, _bad_crc, _short_size, _long_size, _garbled])
-def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, monkeypatch,
+def test_unread_member_is_copied_in_chunks_and_checked(tmp_path, no_fd_leak, monkeypatch,
                                                        forbid_member_reads,
                                                        payload, method, damage):
     buf = io.BytesIO()
@@ -439,7 +440,7 @@ def test_pipeline_parses_no_filler_and_locate_parses_every_class_once(
     assert sorted(parsed) == sorted(texts)
 
 
-def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
+def test_materialize_tree_copies_unread_and_linked_files(tmp_path, no_fd_leak):
     files, truth = synth.build_app_files("s1", 1, random.Random(5))
     source = tmp_path / truth.name
     synth.write_tree(files, source)
@@ -461,9 +462,134 @@ def test_materialize_tree_copies_unread_and_linked_files(tmp_path):
     assert got["assets/linked.bin"] == b"linked asset"
 
 
+def _tree_source(tmp_path):
+    """An S2 app written as a tree with an unread asset, and its wrapper."""
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    source = tmp_path / "corpus" / truth.name
+    synth.write_tree(files, source)
+    (source / "assets" / "notes.bin").write_bytes(b"\x00unread")
+    return source, next(rel for rel in files if "ImageHolder" in rel)
+
+
+def _files(root):
+    """Each file under ``root``: relative name -> (bytes, inode, mtime)."""
+    found = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            st = path.stat()
+            found[path.relative_to(root).as_posix()] = (
+                path.read_bytes(), st.st_ino, st.st_mtime_ns)
+    return found
+
+
+def _refuse_links(monkeypatch, code):
+    """Make ``os.link`` fail with ``code``; the names it is asked to link."""
+    tried = []
+
+    def refuse(src, dst, **kwargs):
+        tried.append(src)
+        raise OSError(code, os.strerror(code), src)
+    monkeypatch.setattr(pipeline.os, "link", refuse)
+    return tried
+
+
+def test_tree_source_is_linked_and_only_the_patched_file_is_new(tmp_path,
+                                                                no_fd_leak):
+    source, wrapper = _tree_source(tmp_path)
+    before = _files(source)
+    report = pipeline.run_pipeline([source], tmp_path / "work",
+                                   spec=PerturbationSpec(rotation_delta=90))
+    assert report.injected_apps == 1
+    assert _files(source) == before
+    tree = tmp_path / "work" / source.name
+    after = _files(tree)
+    assert sorted(after) == sorted(before)
+    assert after[wrapper][0] != before[wrapper][0]
+    assert after[wrapper][1] != before[wrapper][1]
+    assert {rel: got[1] for rel, got in after.items() if rel != wrapper} == \
+        {rel: was[1] for rel, was in before.items() if rel != wrapper}
+
+
+@pytest.mark.parametrize("code", [errno.EXDEV, errno.EPERM])
+def test_tree_the_system_will_not_link_is_written_byte_equal(tmp_path, monkeypatch,
+                                                             no_fd_leak, code):
+    source, wrapper = _tree_source(tmp_path)
+    (source / "smali" / "Linked.smali").symlink_to("../AndroidManifest.xml")
+    spec = PerturbationSpec(rotation_delta=90)
+    linked = pipeline.run_pipeline([source], tmp_path / "linked", spec=spec)
+    tried = _refuse_links(monkeypatch, code)
+    written = pipeline.run_pipeline([source], tmp_path / "written", spec=spec)
+    assert written.to_dict() == linked.to_dict() and written.injected_apps == 1
+    tree = tmp_path / "written" / source.name
+    assert _snapshot(tree) == _snapshot(tmp_path / "linked" / source.name)
+    assert sorted(tried) == sorted(path.name for path in source.rglob("*")
+                                   if path.is_file())
+    assert all(path.stat().st_nlink == 1 for path in tree.rglob("*")
+               if path.is_file())
+
+
+def test_materialize_fails_the_app_on_another_link_error(tmp_path, monkeypatch,
+                                                         no_fd_leak):
+    source, _ = _tree_source(tmp_path)
+    app = scan.load_app(source)
+    _refuse_links(monkeypatch, errno.EIO)
+    with pytest.raises(scan.UnscannableApkError, match="Input/output error"):
+        pipeline.materialize(app, tmp_path / "work")
+    assert not (tmp_path / "work" / source.name).exists()
+
+
+@pytest.mark.parametrize("kind", ["archive", "tree"])
+def test_materialize_removes_its_tree_when_a_write_fails(tmp_path, monkeypatch,
+                                                         no_fd_leak, kind):
+    if kind == "archive":
+        source = tmp_path / "app.apk"
+        _archive(source, "s2", 2)
+    else:
+        source, _ = _tree_source(tmp_path)
+        _refuse_links(monkeypatch, errno.EXDEV)
+    app = scan.load_app(source)
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(pipeline.os, "write", full)
+    with pytest.raises(scan.UnscannableApkError, match="No space left"):
+        pipeline.materialize(app, tmp_path / "work")
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_tree_symlink_becomes_a_file_and_its_target_is_kept(tmp_path, no_fd_leak):
+    source, _ = _tree_source(tmp_path)
+    (source / "shared").mkdir()
+    (source / "shared" / "Linked.smali").write_text(".class LLinked;\n")
+    (source / "smali" / "Linked.smali").symlink_to("../shared/Linked.smali")
+    (source / "assets" / "linked.bin").symlink_to(source / "assets" / "notes.bin")
+    before = _files(source)
+    report = pipeline.run_pipeline([source], tmp_path / "work",
+                                   spec=PerturbationSpec(rotation_delta=90))
+    assert report.injected_apps == 1
+    assert _files(source) == before
+    tree = tmp_path / "work" / source.name
+    for rel, target in [("smali/Linked.smali", "shared/Linked.smali"),
+                        ("assets/linked.bin", "assets/notes.bin")]:
+        assert not (tree / rel).is_symlink() and (tree / rel).is_file()
+        assert (tree / rel).read_bytes() == before[target][0]
+
+
+def test_rerun_into_the_same_workdir_keeps_the_source(tmp_path, no_fd_leak):
+    source, _ = _tree_source(tmp_path)
+    before = _files(source)
+    spec = PerturbationSpec(rotation_delta=90)
+    first = pipeline.run_pipeline([source], tmp_path / "work", spec=spec)
+    written = _snapshot(tmp_path / "work")
+    again = pipeline.run_pipeline([source], tmp_path / "work", spec=spec)
+    assert again.to_dict() == first.to_dict() and again.injected_apps == 1
+    assert _snapshot(tmp_path / "work") == written
+    assert _files(source) == before
+
+
 @pytest.mark.parametrize("rel", ["smali/Outside.smali", "assets/outside.bin",
                                  "AndroidManifest.xml"])
-def test_tree_link_that_escapes_is_refused_unread(tmp_path, monkeypatch, rel):
+def test_tree_link_that_escapes_is_refused_unread(tmp_path, no_fd_leak, monkeypatch, rel):
     files, truth = synth.build_app_files("s2", 2, random.Random(5))
     source = tmp_path / "corpus" / truth.name
     synth.write_tree(files, source)
@@ -472,15 +598,25 @@ def test_tree_link_that_escapes_is_refused_unread(tmp_path, monkeypatch, rel):
     (source / rel).unlink(missing_ok=True)
     # A relative link through the parent, so only resolving it shows the escape.
     (source / rel).symlink_to(os.path.relpath(outside, (source / rel).parent))
+    # Reads are relative to a folder's fd, so the spy notes each file's inode.
     opened = []
     real_read = scan._read_file
-    monkeypatch.setattr(scan, "_read_file",
-                        lambda path: opened.append(path) or real_read(path))
+
+    def spy(name, dir_fd=None):
+        opened.append(os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_ino)
+        return real_read(name, dir_fd)
+    monkeypatch.setattr(scan, "_read_file", spy)
 
     app = scan.load_app(source)
     assert app.unsafe_entry == rel and rel in app.entries
     assert rel not in app.data
-    assert not any(path.endswith(rel) for path in opened)
+    inode = {entry: os.lstat(source / entry).st_ino for entry in app.entries}
+    others = [entry for entry in app.entries
+              if entry != rel and (entry.endswith(".smali")
+                                   or entry == "AndroidManifest.xml")]
+    assert len(others) > 5
+    assert sorted(opened) == sorted(inode[entry] for entry in others)
+    assert inode[rel] not in opened
     with pytest.raises(scan.UnscannableApkError, match="unsafe entry"):
         pipeline.materialize(app, tmp_path / "work")
     assert not (tmp_path / "work" / truth.name).exists()

@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 import random
 import struct
 import tracemalloc
@@ -124,7 +126,7 @@ def test_scan_non_dl_app(tmp_path):
     assert verdict.manifest_valid
 
 
-def test_scan_tree_matches_scan_apk(tmp_path):
+def test_scan_tree_matches_scan_apk(tmp_path, no_fd_leak):
     files, _ = synth.build_app_files("s1", 0, random.Random(3))
     apk = tmp_path / "one.apk"
     apk.write_bytes(synth.zip_app(files))
@@ -137,7 +139,7 @@ def test_scan_tree_matches_scan_apk(tmp_path):
     assert from_zip.services == from_tree.services
 
 
-def test_tree_load_matches_sorted_rglob(tmp_path):
+def test_tree_load_matches_sorted_rglob(tmp_path, no_fd_leak):
     root = tmp_path / "app"
     files = {
         "AndroidManifest.xml": b"<manifest/>",
@@ -174,7 +176,7 @@ def test_tree_load_matches_sorted_rglob(tmp_path):
                         if rel != app.unsafe_entry}
 
 
-def test_unscannable_archive(tmp_path):
+def test_unscannable_archive(tmp_path, no_fd_leak):
     bad = tmp_path / "broken.apk"
     bad.write_bytes(synth.corrupt_apk_bytes(random.Random(4)))
     with pytest.raises(scan.UnscannableApkError):
@@ -183,7 +185,7 @@ def test_unscannable_archive(tmp_path):
     assert verdict.error is not None and not verdict.is_dl
 
 
-def test_truncated_member_is_unscannable(tmp_path):
+def test_truncated_member_is_unscannable(tmp_path, no_fd_leak):
     files, _ = synth.build_app_files("s1", 0, random.Random(5))
     data = bytearray(synth.zip_app(files))
     # Keep the central directory, garble the compressed payload bytes.
@@ -342,7 +344,7 @@ _REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("compression, damage, fails", [
+_CASES = [
     (zipfile.ZIP_DEFLATED, _garble_payload, True),
     (zipfile.ZIP_DEFLATED, _bad_magic, True),
     (zipfile.ZIP_DEFLATED, _rename_local, True),
@@ -352,8 +354,11 @@ _REFUSALS = {
     (zipfile.ZIP_BZIP2, None, False),
     (zipfile.ZIP_DEFLATED, _short_size, True),
     (zipfile.ZIP_STORED, _short_size, True),
-])
-def test_loader_agrees_with_zipfile(tmp_path, forbid_member_reads,
+]
+
+
+@pytest.mark.parametrize("compression, damage, fails", _CASES)
+def test_loader_agrees_with_zipfile(tmp_path, no_fd_leak, forbid_member_reads,
                                     compression, damage, fails):
     """Where zipfile reads a stored or deflated member the loader gives its
     bytes; where zipfile fails, and for a bzip2 member, which no Android
@@ -371,6 +376,29 @@ def test_loader_agrees_with_zipfile(tmp_path, forbid_member_reads,
     forbid_member_reads()
     got = _loader_result(apk)
     assert got == (want if refusal is None else f"member {SMALI!r}: {refusal}")
+
+
+def _past_the_end(data, central):
+    size = struct.unpack_from("<L", data, central + 20)[0]
+    struct.pack_into("<L", data, central + 20, size + len(data))   # compress_size
+
+
+@pytest.mark.parametrize("compression, damage", [
+    *[case[:2] for case in _CASES], (zipfile.ZIP_DEFLATED, _past_the_end),
+    (zipfile.ZIP_STORED, _past_the_end)])
+def test_one_call_read_agrees_with_the_chunked_copy(tmp_path, monkeypatch,
+                                                    compression, damage):
+    """A member that fits one chunk is read in one call; read in chunks of
+    16 bytes through ``copy_direct`` instead, it gives the same bytes or
+    the same reason."""
+    data, central = _member_archive(compression)
+    if damage is not None:
+        damage(data, central)
+    apk = tmp_path / "app.apk"
+    apk.write_bytes(bytes(data))
+    whole = _loader_result(apk)
+    monkeypatch.setattr(scan, "_COPY_CHUNK", 16)
+    assert _loader_result(apk) == whole
 
 
 def _utf8_flag_on_bad_name(data, central):
@@ -407,7 +435,8 @@ class _Unseekable(io.RawIOBase):
         return self.buf.write(b)
 
 
-def test_plain_members_are_read_without_zipfile(tmp_path, forbid_member_reads):
+def test_plain_members_are_read_without_zipfile(tmp_path, no_fd_leak,
+                                                forbid_member_reads):
     stream = _Unseekable()
     with zipfile.ZipFile(stream, "w", zipfile.ZIP_DEFLATED) as zf:
         zf.writestr("AndroidManifest.xml", "<manifest/>")
@@ -496,14 +525,26 @@ def test_tree_file_is_read_whole_whatever_size_it_reports(tmp_path, monkeypatch,
     assert scan._read_file(str(path)) == path.read_bytes()
 
 
+def test_tree_read_that_fails_closes_every_descriptor(tmp_path, monkeypatch,
+                                                     no_fd_leak):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    synth.write_tree(files, tmp_path / truth.name)
+
+    def fail(fd, size):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+    monkeypatch.setattr(scan.os, "read", fail)
+    with pytest.raises(OSError, match="Input/output error"):
+        scan.load_app(tmp_path / truth.name)
+
+
 @pytest.mark.parametrize("limit, over", [
     ("MAX_ENTRIES", lambda infos: len(infos)),
     ("MAX_READ_BYTES", lambda infos: sum(
         i.file_size for i in infos
         if i.filename.endswith(".smali") or i.filename == "AndroidManifest.xml")),
 ])
-def test_archive_over_a_load_bound_is_refused_before_any_read(tmp_path, monkeypatch,
-                                                              limit, over):
+def test_archive_over_a_load_bound_is_refused_before_any_read(tmp_path, no_fd_leak,
+                                                              monkeypatch, limit, over):
     data, _ = _member_archive()
     apk = tmp_path / "app.apk"
     apk.write_bytes(bytes(data))
