@@ -110,7 +110,10 @@ def _opener(dir_fd: int):
     return lambda name, flags: os.open(name, flags, 0o666, dir_fd=dir_fd)
 
 
-def _write_file(name: str, data: bytes, dir_fd: int) -> None:
+def _write_file(name: str, data: Union[bytes, str], dir_fd: int) -> None:
+    """Write a read entry: text the class index swapped in is encoded."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
     try:
         written = os.write(fd, data)
@@ -118,11 +121,6 @@ def _write_file(name: str, data: bytes, dir_fd: int) -> None:
             written += os.write(fd, memoryview(data)[written:])
     finally:
         os.close(fd)
-
-
-def _write_read_entry(data: Union[bytes, str], name: str, dir_fd: int) -> None:
-    _write_file(name, data.encode("utf-8") if isinstance(data, str) else data,
-                dir_fd)
 
 
 def _link_folder(app: scan.AppFiles, folder: str, names: List[str],
@@ -141,11 +139,11 @@ def _link_folder(app: scan.AppFiles, folder: str, names: List[str],
                     raise
             data = app.data.get(folder + name)
             if data is not None:
-                _write_read_entry(data, name, dst_fd)
-                continue
-            with open(name, "rb", opener=_opener(src_fd)) as src, \
-                    open(name, "wb", opener=_opener(dst_fd)) as out:
-                shutil.copyfileobj(src, out)
+                _write_file(name, data, dst_fd)
+            else:
+                with open(name, "rb", opener=_opener(src_fd)) as src, \
+                        open(name, "wb", opener=_opener(dst_fd)) as out:
+                    shutil.copyfileobj(src, out)
     finally:
         os.close(src_fd)
 
@@ -158,10 +156,10 @@ def _write_folder(app: scan.AppFiles, folder: str, names: List[str],
     for name in names:
         data = app.data.get(folder + name)
         if data is not None:
-            _write_read_entry(data, name, dst_fd)
-            continue
-        with open(name, "wb", opener=_opener(dst_fd)) as out:
-            scan.copy_direct(archive, app.unread[folder + name], out)
+            _write_file(name, data, dst_fd)
+        else:
+            with open(name, "wb", opener=_opener(dst_fd)) as out:
+                scan.copy_direct(archive, app.unread[folder + name], out)
 
 
 def materialize(app: scan.AppFiles, workdir: Path) -> Path:
