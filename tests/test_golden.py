@@ -9,13 +9,18 @@ The files under ``tests/data/`` were written by the CLI on the
   run wrote, paths relative to its work directory, in byte order
   (``prepatch inject APP.apk --rotation-delta 90 --workdir W`` writes the
   same tree for each app);
-* ``locate_app02_s2.json``: ``prepatch locate app02_s2.apk --report``.
+* ``locate_app02_s2.json``: ``prepatch locate app02_s2.apk --report``;
+* ``locate_hostile.json``: ``prepatch locate app02_hostile --report`` on the
+  tree ``_hostile_tree`` writes: synth ``s2`` plus a file that does not
+  decode, one that does not parse, its wrapper with CRLF line ends, and a
+  duplicate of that wrapper in ``smali_classes2/``.
 
 A change that alters any of these bytes changes what the tool reports or
 writes; regenerate them only when that is the intent.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -65,6 +70,32 @@ def test_locate_report_matches_golden(golden_corpus, tmp_path, capsys):
     capsys.readouterr()
     assert report.read_bytes() == \
         (DATA / "locate_app02_s2.json").read_bytes()
+
+
+def _hostile_tree(root: Path) -> Path:
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    wrapper = "smali/com/demoapp02/vision/ImageHolder.smali"
+    text = files[wrapper]
+    files["smali/com/demoapp02/util/Bad.smali"] = \
+        b"\xff" + files["smali/com/demoapp02/util/Codes1.smali"].encode()
+    files["smali/com/demoapp02/util/Broken.smali"] = (
+        ".class public Lcom/demoapp02/util/Broken;\n.super Ljava/lang/Object;\n\n"
+        ".method public x()V\n    .locals 1\n\n    const/16 v0, zz\n.end method\n")
+    files[wrapper] = text.replace("\n", "\r\n").encode()
+    files["smali_classes2/" + wrapper.split("/", 1)[1]] = \
+        text.replace(".super", "# second dex\n.super", 1)
+    tree = root / "app02_hostile"
+    synth.write_tree(files, tree)
+    return tree
+
+
+def test_locate_report_of_a_hostile_tree_matches_golden(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["locate", str(_hostile_tree(tmp_path)),
+                     "--report", str(report)]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert report.read_bytes() == (DATA / "locate_hostile.json").read_bytes()
+    assert err.count("issue ") == 3
 
 
 def test_inject_archive_writes_the_golden_tree(golden_corpus, tmp_path, capsys):
