@@ -30,11 +30,11 @@ Strategy constants, in precedence order:
 from __future__ import annotations
 
 import dataclasses
-import gc
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from . import scan, smali
 from .smali import Instruction, MethodRef, OpKind, Register, SmaliMethod, SmaliUnit
@@ -228,13 +228,6 @@ class ConstructorMatch:
 # class index
 
 
-class _Views(NamedTuple):
-    by_path: Dict[str, SmaliUnit]
-    by_class: Dict[str, Tuple[str, SmaliUnit]]
-    issues: List[Tuple[str, str]]
-    unparsed: Dict[str, str]
-
-
 def _declared_class(text: str) -> Optional[str]:
     """The descriptor a smali text declares: the last token of its first
     line that strips to ``.class…``. ``smali.parse_unit`` reads the class
@@ -252,6 +245,14 @@ def _declared_class(text: str) -> Optional[str]:
     return None
 
 
+def _parse(text: str) -> Union[SmaliUnit, str]:
+    """A smali text's unit, or the error that refuses it."""
+    try:
+        return smali.parse_unit(text)
+    except smali.SmaliSyntaxError as exc:
+        return str(exc)
+
+
 class ClassIndex:
     """Descriptor -> parsed unit lookup over one app tree.
 
@@ -264,8 +265,9 @@ class ClassIndex:
     in path order and skips, unparsed, every file whose text fails a test
     each hit needs.
 
-    ``by_path``, ``by_class``, ``issues`` and ``unparsed`` are the eager
-    views: their first use parses every file in tree order.
+    ``validate`` gives the count of classes that parse and the issue list
+    that ``locate --report`` prints. It parses every file no stage read
+    and keeps none of those units.
     """
 
     def __init__(self) -> None:
@@ -277,7 +279,6 @@ class ClassIndex:
         self._parsed: Dict[str, Union[SmaliUnit, str]] = {}
         # Descriptor -> the paths of the files declaring it, in tree order.
         self._declaring: Dict[str, List[str]] = {}
-        self._views: Optional[_Views] = None
 
     def unit(self, rel_path: str) -> Optional[SmaliUnit]:
         """The parsed class of the smali file ``rel_path``, parsed on the
@@ -288,11 +289,7 @@ class ClassIndex:
             text = self._texts.get(rel_path)
             if text is None:
                 return None
-            try:
-                parsed = smali.parse_unit(text)
-            except smali.SmaliSyntaxError as exc:
-                parsed = str(exc)
-            self._parsed[rel_path] = parsed
+            parsed = self._parsed[rel_path] = _parse(text)
         return parsed if isinstance(parsed, SmaliUnit) else None
 
     def resolve(self, descriptor: str) -> Optional[Tuple[str, SmaliUnit]]:
@@ -306,10 +303,12 @@ class ClassIndex:
 
     def owned_units(self, may_hit: Callable[[str, str], bool]
                     ) -> Iterator[Tuple[str, SmaliUnit]]:
-        """``(path, unit)`` of each class the index owns, in path order
-        (that of ``owned_paths()``). A file for which ``may_hit(text,
-        descriptor)`` is false is skipped without being parsed, so
-        ``may_hit`` must hold for every file a caller can find a hit in."""
+        """``(path, unit)`` of each class the index owns, in path order:
+        a file owns its descriptor when it is the first in tree order that
+        declares it and parses, and a later duplicate is never yielded. A
+        file for which ``may_hit(text, descriptor)`` is false is skipped
+        without being parsed, so ``may_hit`` must hold for every file a
+        caller can find a hit in."""
         hits = sorted((rel, descriptor)
                       for descriptor, paths in self._declaring.items()
                       for rel in paths if may_hit(self._texts[rel], descriptor))
@@ -324,59 +323,39 @@ class ClassIndex:
         return ((rel, text) for rel, text in self._texts.items()
                 if text is not None)
 
-    def _eager(self) -> _Views:
-        """The eager views, from parsing every file in tree order."""
-        if self._views is None:
-            views = _Views({}, {}, [], {})
-            # Parsed units hold no reference cycles, so a collection while
-            # they are built would only walk them again and free nothing.
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                for rel, text in self._texts.items():
-                    unit = self.unit(rel)
-                    if unit is None:
-                        views.issues.append((rel, self._parsed[rel]))
-                        if text is not None:
-                            views.unparsed[rel] = text
-                        continue
-                    views.by_path[rel] = unit
-                    first, _ = views.by_class.setdefault(unit.class_name, (rel, unit))
-                    if first != rel:
-                        views.issues.append(
-                            (rel, f"duplicate class {unit.class_name}; "
-                                  f"first defined in {first}"))
-            finally:
-                if was_enabled:
-                    gc.enable()
-            self._views = views
-        return self._views
+    def validate(self) -> Tuple[int, List[Tuple[str, str]]]:
+        """The number of smali files that parse, and ``(path, error)`` of
+        each file that does not decode or parse, or declares a class an
+        earlier file that parses owns, in tree order.
+
+        A file a stage has read gives its parse; any other is parsed here
+        and only the outcome kept, so no unit is stored and no file is
+        parsed twice."""
+        parses = 0
+        issues: List[Tuple[str, str]] = []
+        owners: Dict[str, str] = {}
+        for rel, text in self._texts.items():
+            parsed = self._parsed.get(rel)
+            if parsed is None:
+                parsed = _parse(text)
+            if isinstance(parsed, str):
+                issues.append((rel, parsed))
+                continue
+            parses += 1
+            first = owners.setdefault(parsed.class_name, rel)
+            if first != rel:
+                issues.append((rel, f"duplicate class {parsed.class_name}; "
+                                    f"first defined in {first}"))
+        return parses, issues
 
     @property
     def by_path(self) -> Dict[str, SmaliUnit]:
-        """Every file that parses -> its unit, in tree order."""
-        return self._eager().by_path
-
-    @property
-    def by_class(self) -> Dict[str, Tuple[str, SmaliUnit]]:
-        """Descriptor -> (path, unit) of the file that owns it."""
-        return self._eager().by_class
-
-    @property
-    def issues(self) -> List[Tuple[str, str]]:
-        """(path, error) of each file that did not decode or parse, or
-        declares a class an earlier file owns, in tree order."""
-        return self._eager().issues
-
-    @property
-    def unparsed(self) -> Dict[str, str]:
-        """Text of the smali files that decoded but did not parse."""
-        return self._eager().unparsed
-
-    def owned_paths(self) -> List[str]:
-        """Sorted paths of the files that own their class descriptor; a
-        later duplicate of a class is shadowed and never analyzed."""
-        return sorted(rel for rel, _ in self.by_class.values())
+        """Every file that parses -> its unit, in tree order, built with
+        ``unit`` on each read, so it parses and keeps every class. Its one
+        reader is the class count of the benchmark's ``from_tree`` wrapper
+        (``perfbench/layers.py``)."""
+        return {rel: unit for rel in self._texts
+                if (unit := self.unit(rel)) is not None}
 
     @classmethod
     def from_tree(cls, root: Path) -> "ClassIndex":
@@ -388,9 +367,9 @@ class ClassIndex:
 
         Bytes are decoded as ``Path.read_text(encoding="utf-8")`` does
         (strict UTF-8, universal newlines), so line indexes match a disk
-        read; a file that does not decode or parse is recorded in
-        ``issues``. On a duplicate class descriptor the first file in tree
-        order that parses wins and each later one is recorded in ``issues``.
+        read; ``validate`` reports a file that does not decode or parse. On
+        a duplicate class descriptor the first file in tree order that
+        parses wins, and ``validate`` reports each later one.
 
         Strict UTF-8 text without a ``\\r`` encodes back to its bytes, so
         such a bytes value is replaced in ``files`` by its text, the object
@@ -892,21 +871,28 @@ def match_index(index: ClassIndex) -> List[ConstructorMatch]:
 
 @dataclass
 class AnalysisResult:
+    """One app's anchors, slices and matches, with the index they read.
+    ``units`` and ``issues`` come from one ``validate`` of that index."""
     root: str
     index: ClassIndex = field(repr=False, compare=False)
     anchors: List[SliceAnchor] = field(default_factory=list)
     slices: List[SliceResult] = field(default_factory=list)
     matches: List[ConstructorMatch] = field(default_factory=list)
 
+    @functools.cached_property
+    def _validation(self) -> Tuple[int, List[Tuple[str, str]]]:
+        return self.index.validate()
+
     @property
     def units(self) -> int:
-        """Classes that parse; the first read parses every class."""
-        return len(self.index.by_path)
+        """Classes that parse, from the index's ``validate``, which the
+        first read of ``units`` or ``issues`` runs once."""
+        return self._validation[0]
 
     @property
     def issues(self) -> List[Tuple[str, str]]:
-        """The index's issues; the first read parses every class."""
-        return list(self.index.issues)
+        """The index's issues, from the same ``validate`` as ``units``."""
+        return list(self._validation[1])
 
     def to_dict(self) -> dict:
         return {

@@ -150,9 +150,9 @@ class Member(NamedTuple):
     flags: int
 
 
-def _member(info: zipfile.ZipInfo) -> Member:
+def _member(info: zipfile.ZipInfo, ends: Dict[int, int]) -> Member:
     return Member(info.orig_filename, info.header_offset,
-                  getattr(info, "_end_offset", None), info.compress_size,
+                  ends.get(info.header_offset), info.compress_size,
                   info.file_size, info.CRC, info.compress_type, info.flag_bits)
 
 
@@ -202,7 +202,8 @@ class MemberError(Exception):
 def _seek_data(fh, member: Member) -> None:
     """Move the open archive file to a member's data. Raises MemberError
     unless the member is a stored or deflated one, not encrypted or patched,
-    whose local header agrees with its central directory record."""
+    whose local header agrees with its central directory record and whose
+    data ends by the next record."""
     if member.method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
         raise MemberError(member, f"compression method {member.method} is "
                                   f"neither stored nor deflated")
@@ -224,7 +225,6 @@ def _seek_data(fh, member: Member) -> None:
     if name != member.name:
         raise MemberError(member, f"local header names {raw_name!r}")
     fh.seek(extra_length, os.SEEK_CUR)
-    # Newer zipfile versions record where the next member starts.
     if member.end is not None and fh.tell() + member.compress_size > member.end:
         raise MemberError(member, "data runs into the next member")
 
@@ -316,6 +316,11 @@ def _load_archive(path: Path) -> AppFiles:
             if len(names) > MAX_ENTRIES:
                 raise UnscannableApkError(
                     path, f"{len(names)} entries; at most {MAX_ENTRIES} are read")
+            # Each member's record ends where the next one above it starts,
+            # or where the central directory does.
+            starts = sorted({info.header_offset for info in zf.infolist()}
+                            | {zf.start_dir})
+            ends = dict(zip(starts, starts[1:]))
             # Each name once, in archive order, with its last member, as
             # extraction leaves it on disk.
             read: List[zipfile.ZipInfo] = []
@@ -324,14 +329,14 @@ def _load_archive(path: Path) -> AppFiles:
                 if _is_read(name):
                     read.append(info)
                 elif not name.endswith("/"):
-                    unread[name] = _member(info)
+                    unread[name] = _member(info, ends)
             declared = sum(info.file_size for info in read)
             if declared > MAX_READ_BYTES:
                 raise UnscannableApkError(
                     path, f"smali and manifest members declare {declared} bytes; "
                           f"at most {MAX_READ_BYTES} are read")
             data: Dict[str, Union[bytes, str]] = {
-                info.filename: _read_direct(fh, _member(info)) for info in read}
+                info.filename: _read_direct(fh, _member(info, ends)) for info in read}
     # zipfile's listing also raises these for a newer version or a bad name.
     except (zipfile.BadZipFile, NotImplementedError, UnicodeDecodeError, OSError,
             MemberError) as exc:

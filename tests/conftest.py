@@ -3,6 +3,7 @@ import os
 import random
 import struct
 import zipfile
+import zlib
 
 import pytest
 
@@ -75,6 +76,34 @@ def bomb_archive():
             offset += 46 + fields[12] + fields[13] + fields[14]
         struct.pack_into("<L", data, offset + 24, 10)      # file_size
         path.write_bytes(bytes(data))
+        return path
+    return make
+
+
+@pytest.fixture
+def overlap_archive():
+    """Factory writing an archive of two honest stored members, ``first``
+    and ``second``, where the data of ``first`` is the whole local record
+    of ``second``: every name, size and CRC-32 is true, but the first
+    member's data runs into the next member."""
+    def record(name, data, offset=None):
+        raw = name.encode()
+        fields = (zlib.crc32(data), len(data), len(data), len(raw))
+        if offset is None:
+            return struct.pack(zipfile.structFileHeader, zipfile.stringFileHeader,
+                               20, 0, 0, 0, 0, 0, *fields, 0) + raw + data
+        return struct.pack(zipfile.structCentralDir, zipfile.stringCentralDir,
+                           20, 0, 20, 0, 0, 0, 0, 0, *fields, 0, 0, 0, 0, 0,
+                           offset) + raw
+
+    def make(path, first, second):
+        inner = record(second, b"second member\n")
+        outer = record(first, inner)
+        central = record(first, inner, 0) + record(
+            second, b"second member\n", len(outer) - len(inner))
+        path.write_bytes(outer + central + struct.pack(
+            zipfile.structEndArchive, zipfile.stringEndArchive, 0, 0, 2, 2,
+            len(central), len(outer), 0))
         return path
     return make
 

@@ -372,7 +372,8 @@ def test_marker_in_unparsable_file_blocks_plan(app_tree):
     (tree / "smali" / "Broken.smali").write_text(
         inject.MARKER_FIELD + "\n.method oops\n")
     index = locate.ClassIndex.from_tree(tree)
-    assert "smali/Broken.smali" in index.unparsed
+    assert "smali/Broken.smali" in dict(index.texts())
+    assert "smali/Broken.smali" in dict(index.validate()[1])
     with pytest.raises(inject.AlreadyInjectedError, match="Broken.smali"):
         inject.plan_injection(tree, PerturbationSpec(rotation_delta=90),
                               index=index)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -418,7 +419,7 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
     assert [m.strategy for m in analysis.matches] == list(truth.strategies)
     assert len(analysis.anchors) == 1
     (index,) = indexes
-    built = [(rel, m) for rel, unit in index.by_path.items()
+    built = [(rel, m) for rel, _ in index.texts() if (unit := index.unit(rel))
              for m in unit.methods if m.instructions_built]
     assert built
     assert not any("/util/" in rel for rel, _ in built)   # no filler
@@ -433,6 +434,30 @@ def test_analysis_builds_instructions_only_for_methods_it_reads(monkeypatch):
     assert len(parsed) == sum(
         1 for _, m in built for i in m.instructions
         if not i.raw_text.strip().startswith((".registers", ".locals")))
+
+
+def test_locate_report_keeps_only_the_units_its_stages_read(monkeypatch):
+    files, truth = synth.build_app_files("s2", 2, random.Random(5))
+    synth._add_fillers(files, "demoapp02/pad", random.Random(6), 300)
+    analysis = locate.analyze_files(files, truth.name)
+    index = analysis.index
+    plan = inject.plan_index(truth.name, PerturbationSpec(rotation_delta=90),
+                             index, analysis.matches)
+    read = _held(index)
+    assert plan.patches and read
+    assert not any("/pad/" in rel for rel in read)
+    parsed, real = [], smali.parse_unit
+    monkeypatch.setattr(smali, "parse_unit",
+                        lambda text: parsed.append(text) or real(text))
+
+    report = analysis.to_dict()
+    assert analysis.to_dict() == report
+    texts = [text for rel, text in files.items() if rel.endswith(".smali")]
+    assert report["units"] == len(texts) > 300 and report["issues"] == []
+    assert _held(index) == read
+    # The report parsed, once, each file no stage had read.
+    assert sorted(parsed) == sorted(text for rel, text in index.texts()
+                                    if rel not in read)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +475,7 @@ def test_index_holds_each_class_about_once():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(index.by_path) == len(data) > 1000
+    assert len(data) > 1000 and index.validate() == (len(data), [])
     # The decoded text is one copy; a string per line would be two more.
     assert held < 5 * smali_bytes, (held, smali_bytes)
 
@@ -471,10 +496,11 @@ def test_index_of_bytes_reads_lines_as_disk_text_does(tmp_path):
     index = locate.ClassIndex.from_files(files)
     for rel in ("smali/Crlf.smali", "smali/Cr.smali"):
         disk = (tmp_path / rel).read_text(encoding="utf-8").split("\n")
-        assert index.by_path[rel].lines == tuple(disk)
-    assert [rel for rel, _ in index.issues] == ["smali/Bad.smali",
-                                                "smali/Broken.smali"]
-    assert list(index.unparsed) == ["smali/Broken.smali"]
+        assert index.unit(rel).lines == tuple(disk)
+    assert [rel for rel, _ in index.validate()[1]] == ["smali/Bad.smali",
+                                                       "smali/Broken.smali"]
+    assert [rel for rel, _ in index.texts() if index.unit(rel) is None] == \
+        ["smali/Broken.smali"]
 
 
 def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
@@ -486,12 +512,13 @@ def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
     files["smali_classes2/" + activity.split("/", 1)[1]] = files[activity]
     synth.write_tree(files, tmp_path / "app")
     index = locate.ClassIndex.from_tree(tmp_path / "app")
-    descriptor = index.by_path[first].class_name
+    descriptor = index.unit(first).class_name
     assert index.resolve(descriptor)[0] == first
-    assert second in index.by_path
+    assert index.unit(second) is not None
+    issues = index.validate()[1]
     assert (second, f"duplicate class {descriptor}; first defined in {first}") \
-        in index.issues
-    assert len(index.issues) == 2
+        in issues
+    assert len(issues) == 2
 
     # Only the file that owns a descriptor is analyzed, planned and patched.
     analysis = locate.analyze_files(files)
@@ -511,12 +538,61 @@ def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
 # parsed every class first
 
 
-def _reference_anchors(index):
-    """Anchors from every method of every owned class, read through
-    ``by_path`` with no text filter."""
+class _Eager(NamedTuple):
+    """What parsing every smali file in tree order gives."""
+    index: locate.ClassIndex                      # with every file parsed
+    units: Dict[str, smali.SmaliUnit]             # each file that parses
+    owners: Dict[str, Tuple[str, smali.SmaliUnit]]  # first that parses
+    issues: List[Tuple[str, str]]
+    broken: Dict[str, str]                        # decoded, did not parse
+
+    def owner_paths(self) -> List[str]:
+        return sorted(rel for rel, _ in self.owners.values())
+
+
+def _eager_reference(files) -> _Eager:
+    """Decode and parse every smali file of ``files`` in tree order, as an
+    index that parsed every class first would."""
+    index = locate.ClassIndex.from_files(dict(files))
+    ref = _Eager(index, {}, {}, [], {})
+    for rel in sorted(files, key=scan.tree_order):
+        if not rel.endswith(".smali"):
+            continue
+        text = files[rel]
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                ref.issues.append((rel, str(exc)))
+                continue
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        index.unit(rel)
+        try:
+            unit = smali.parse_unit(text)
+        except smali.SmaliSyntaxError as exc:
+            ref.issues.append((rel, str(exc)))
+            ref.broken[rel] = text
+            continue
+        ref.units[rel] = unit
+        first, _ = ref.owners.setdefault(unit.class_name, (rel, unit))
+        if first != rel:
+            ref.issues.append(
+                (rel, f"duplicate class {unit.class_name}; first defined in {first}"))
+    return ref
+
+
+def _held(index):
+    """Paths of the files whose parsed unit the index keeps."""
+    return {rel for rel, parsed in index._parsed.items()
+            if isinstance(parsed, smali.SmaliUnit)}
+
+
+def _reference_anchors(eager):
+    """Anchors from every method of every owned class, with no text
+    filter."""
     anchors = []
-    for rel in index.owned_paths():
-        unit = index.by_path[rel]
+    for rel in eager.owner_paths():
+        unit = eager.units[rel]
         for method in unit.methods:
             for instr in method.instructions:
                 ref = instr.method_ref
@@ -531,10 +607,10 @@ def _reference_anchors(index):
     return anchors
 
 
-def _reference_marked(index):
-    marked = [rel for rel, unit in index.by_path.items()
+def _reference_marked(eager):
+    marked = [rel for rel, unit in eager.units.items()
               if inject.has_marker(unit.text)]
-    marked += [rel for rel, text in index.unparsed.items()
+    marked += [rel for rel, text in eager.broken.items()
                if inject.has_marker(text)]
     return min(marked, key=scan.tree_order, default=None)
 
@@ -546,23 +622,26 @@ def _assert_lazy_is_exact(files):
     marked = inject._marked_file(lazy)
     slices = [locate.backward_slice(lazy, a) for a in anchors]
 
-    eager = locate.ClassIndex.from_files(dict(files))
-    eager.by_path   # parse every class first
+    eager = _eager_reference(files)
     assert anchors == _reference_anchors(eager)
-    assert matches == [m for rel in eager.owned_paths()
-                       for m in locate.match_constructors(eager.by_path[rel], rel)]
+    assert matches == [m for rel in eager.owner_paths()
+                       for m in locate.match_constructors(eager.units[rel], rel)]
     assert marked == _reference_marked(eager)
-    assert slices == [locate.backward_slice(eager, a) for a in anchors]
+    assert slices == [locate.backward_slice(eager.index, a) for a in anchors]
 
     fresh = locate.ClassIndex.from_files(dict(files))
-    for descriptor in set(eager.by_class) | set(fresh._declaring):
-        assert fresh.resolve(descriptor) == eager.by_class.get(descriptor)
+    for descriptor in set(eager.owners) | set(fresh._declaring):
+        assert fresh.resolve(descriptor) == eager.owners.get(descriptor)
     for rel in files:
-        assert fresh.unit(rel) == eager.by_path.get(rel)
-    # Forcing the eager views of the lazy index gives the same views.
-    assert list(lazy.by_path) == list(eager.by_path)
-    assert lazy.issues == eager.issues and lazy.unparsed == eager.unparsed
-    assert lazy.owned_paths() == eager.owned_paths()
+        assert fresh.unit(rel) == eager.units.get(rel)
+    # Validating the lazy index gives the reference's count and issues,
+    # and keeps no unit the stages above did not read.
+    held = _held(lazy)
+    assert lazy.validate() == (len(eager.units), eager.issues)
+    assert _held(lazy) == held
+    assert [rel for rel, _ in lazy.owned_units(lambda *_: True)] == eager.owner_paths()
+    assert [rel for rel, text in lazy.texts() if lazy.unit(rel) is None] == \
+        list(eager.broken)
 
 
 def test_lazy_index_is_exact_on_the_labelled_corpus(corpus):

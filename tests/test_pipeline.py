@@ -239,7 +239,7 @@ def test_materialize_writes_what_extractall_writes(tmp_path, no_fd_leak, monkeyp
     if indexed:
         index = locate.ClassIndex.from_files(app.data)
         # A BOM before ".class" fails to parse, as it does from disk.
-        assert {rel for rel, _ in index.issues} == {
+        assert {rel for rel, _ in index.validate()[1]} == {
             "smali/com/x/Latin.smali", "smali/com/x/Broken.smali",
             "smali/com/x/Bom.smali"}
     forbid_member_reads()
@@ -395,6 +395,20 @@ def test_bzip2_bomb_asset_is_refused_in_bounded_memory(tmp_path, bomb_archive,
     assert peak < (1 << 20), peak            # 16 MB of zeros, never inflated
 
 
+def test_unread_member_that_runs_into_the_next_is_refused(tmp_path, no_fd_leak,
+                                                          overlap_archive,
+                                                          forbid_member_reads):
+    apk = overlap_archive(tmp_path / "overlap.apk", "assets/a.bin", "assets/b.bin")
+    app = scan.load_app(apk)
+    assert list(app.unread) == ["assets/a.bin", "assets/b.bin"]
+    forbid_member_reads()
+    with pytest.raises(scan.UnscannableApkError) as raised:
+        pipeline.materialize(app, tmp_path / "work")
+    assert raised.value.reason == \
+        "member 'assets/a.bin': data runs into the next member"
+    assert not (tmp_path / "work" / "overlap").exists()
+
+
 def test_after_indexing_the_text_is_the_only_copy_of_a_file(tmp_path):
     apk = tmp_path / "odd.apk"
     _odd_archive(apk, _ODD_MEMBERS)
@@ -403,15 +417,16 @@ def test_after_indexing_the_text_is_the_only_copy_of_a_file(tmp_path):
     index = locate.ClassIndex.from_files(app.data)
     kept = {"smali/com/x/Crlf.smali", "smali/com/x/Cr.smali",
             "smali/com/x/Latin.smali", "AndroidManifest.xml"}
+    texts = dict(index.texts())
     for rel, data in app.data.items():
         if rel in kept:
             assert isinstance(data, bytes), rel
-        elif rel in index.unparsed:
-            assert data is index.unparsed[rel]
+        elif index.unit(rel) is None:
+            assert data is texts[rel]
         else:
-            assert data is index.by_path[rel].text, rel
-    assert list(index.unparsed) == ["smali/com/x/Bom.smali",
-                                    "smali/com/x/Broken.smali"]
+            assert data is index.unit(rel).text, rel
+    assert [rel for rel in texts if index.unit(rel) is None] == \
+        ["smali/com/x/Bom.smali", "smali/com/x/Broken.smali"]
     assert app.data["smali/com/x/Bom.smali"].startswith("\ufeff")
 
 
@@ -694,7 +709,7 @@ def test_register_above_16_bits_fails_only_its_own_class(tmp_path):
         "    return-void", ".end method", ""])
     # Checked first: analysis builds every <init> it indexed, and this one
     # would expand to 10^8 registers.
-    (issue,) = locate.ClassIndex.from_files(files).issues
+    (issue,) = locate.ClassIndex.from_files(files).validate()[1]
     assert issue[0] == "smali/com/odd/Odd.smali" and "v100000000" in issue[1]
     alone, by_source = _beside_good(tmp_path, files)
     assert by_source["good.apk"] == alone and alone["injected"]

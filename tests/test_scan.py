@@ -455,6 +455,17 @@ def test_plain_members_are_read_without_zipfile(tmp_path, no_fd_leak,
     assert app.entries == tuple(info.filename for info in infos)
 
 
+def test_member_whose_data_runs_into_the_next_is_refused(tmp_path, no_fd_leak,
+                                                         overlap_archive):
+    apk = overlap_archive(tmp_path / "overlap.apk", "smali/A.smali", "smali/B.smali")
+    with zipfile.ZipFile(apk) as zf:
+        assert zf.read("smali/B.smali") == b"second member\n"
+    with pytest.raises(scan.UnscannableApkError) as raised:
+        scan.load_app(apk)
+    assert raised.value.reason == \
+        "member 'smali/A.smali': data runs into the next member"
+
+
 @pytest.mark.parametrize("bit", [0x002, 0x004])
 def test_compression_level_bits_are_read_without_zipfile(tmp_path, forbid_member_reads,
                                                          bit):
