@@ -317,9 +317,11 @@ def _load_archive(path: Path) -> AppFiles:
                 raise UnscannableApkError(
                     path, f"{len(names)} entries; at most {MAX_ENTRIES} are read")
             # Each member's record ends where the next one above it starts,
-            # or where the central directory does.
-            starts = sorted({info.header_offset for info in zf.infolist()}
-                            | {zf.start_dir})
+            # or where the central directory does. Of the pairs for an
+            # offset that members share, the last, naming the next larger
+            # offset, is the one the dict keeps.
+            starts = sorted(info.header_offset for info in zf.infolist())
+            starts.append(zf.start_dir)
             ends = dict(zip(starts, starts[1:]))
             # Each name once, in archive order, with its last member, as
             # extraction leaves it on disk.

@@ -466,6 +466,27 @@ def test_member_whose_data_runs_into_the_next_is_refused(tmp_path, no_fd_leak,
         "member 'smali/A.smali': data runs into the next member"
 
 
+def test_members_that_share_a_local_record_still_load(tmp_path, no_fd_leak):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("smali/A.smali", ".class LA;\n")
+        zf.writestr("smali/B.smali", ".class LB;\n")
+    data = buf.getvalue()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        start, (_, last) = zf.start_dir, zf.infolist()
+    eocd = data.rindex(zipfile.stringEndArchive)
+    # List the last member's central record twice: both entries name the
+    # member with the highest offset, and each must end at the directory.
+    record = data[eocd - (46 + len(last.filename)):eocd]
+    central = data[start:eocd] + record
+    apk = tmp_path / "shared.apk"
+    apk.write_bytes(data[:start] + central + struct.pack(
+        zipfile.structEndArchive, zipfile.stringEndArchive, 0, 0, 3, 3,
+        len(central), start, 0))
+    assert scan.load_app(apk).data == {"smali/A.smali": b".class LA;\n",
+                                       "smali/B.smali": b".class LB;\n"}
+
+
 @pytest.mark.parametrize("bit", [0x002, 0x004])
 def test_compression_level_bits_are_read_without_zipfile(tmp_path, forbid_member_reads,
                                                          bit):
