@@ -12,9 +12,9 @@ diff (``--dry-run``, which writes nothing, not even to recover a tree) or
 patches a tree in place. An archive is extracted to ``--workdir``, and
 ``pipeline`` writes an app, only to apply a plan that has patches.
 
-``inject --break-lock`` first removes a lock that a process of another
-host, a dead process of this host or an unreadable owner left beside the
-tree, and prints its owner; a live process's lock still blocks.
+``inject`` and ``pipeline`` write a tree only while they hold its lock,
+a ``flock`` on ``<tree>.lock`` that the kernel drops when its holder
+exits: a lock file no live process holds never blocks.
 
 Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 a marker, a
 stale plan or a held lock stopped it, 4 the repack hook failed.
@@ -195,14 +195,6 @@ def _blocked(exc: inject.InjectError) -> int:
     return EXIT_BLOCKED
 
 
-def _break_lock(tree: Path) -> None:
-    """Remove a stale or foreign lock beside ``tree`` (see
-    ``inject.break_lock``) and say whose it was."""
-    removed = inject.break_lock(tree)
-    if removed is not None:
-        print(f"broke {removed}", file=sys.stderr)
-
-
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = _spec_from_args(args)
@@ -210,15 +202,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         print("error: no perturbation requested "
               "(use --rotation-delta, --width, ...)", file=sys.stderr)
         return EXIT_USAGE
-    if args.break_lock and args.dry_run:
-        print("error: --break-lock removes a file; not with --dry-run",
-              file=sys.stderr)
-        return EXIT_USAGE
     path = Path(args.tree)
     if path.is_dir() and not args.dry_run:
         try:
-            if args.break_lock:
-                _break_lock(path)
             inject.recover(path)
         except inject.LockHeldError as exc:
             return _blocked(exc)
@@ -253,8 +239,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
             Path(tempfile.mkdtemp(prefix="prepatch-"))
         base.mkdir(parents=True, exist_ok=True)
         try:
-            if args.break_lock:
-                _break_lock(base / app.name)
             tree = pipeline.materialize(app, base)
         except inject.LockHeldError as exc:
             return _blocked(exc)
@@ -418,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_perturbation_args(p_inject)
     p_inject.add_argument("--dry-run", action="store_true",
                           help="print the diff without writing")
-    p_inject.add_argument("--break-lock", action="store_true",
-                          help="remove a lock beside the tree that no live "
-                               "process of this host holds, and print its owner")
     p_inject.add_argument("--repack", metavar="CMD",
                           help="repack command; {in} and {out} expand to paths")
     p_inject.add_argument("--repack-out", metavar="FILE")

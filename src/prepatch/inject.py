@@ -9,20 +9,24 @@ file, a journal beside the tree lists the staged files, and only then does
 each temp file replace its target. An apply that stopped part way is rolled
 forward (journal present) or back (temp files only) by the next apply of
 that tree, or by a plan that indexes the tree itself; ``recovered_data``
-gives the recovered view of a tree's files without writing it. A marker
+gives the recovered view of a tree's files without writing it. Applying
+and recovering hold an exclusive ``flock`` on ``<tree>.lock`` (``locked``);
+the kernel drops it when its holder exits, so the lock file a killed
+apply leaves never blocks the next apply. A marker
 field left in every touched class makes a second injection fail fast.
 """
 
 from __future__ import annotations
 
 import difflib
+import fcntl
 import json
 import os
 import re
 import shlex
 import subprocess
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -345,129 +349,53 @@ def _temp_files(root: Path) -> List[Path]:
             for name in names if name.endswith(TEMP_SUFFIX)]
 
 
-def _take_lock(lock: Path) -> None:
-    """Create ``lock`` holding its owner; FileExistsError if it exists."""
-    owner = {"pid": os.getpid(), "host": os.uname().nodename,
-             "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    with lock.open("x", encoding="utf-8") as handle:
-        handle.write(json.dumps(owner) + "\n")
-
-
-def _lock_text(lock: Path) -> Optional[str]:
+def _held_message(lock: Path, fd: int) -> str:
+    """Name the holder of ``lock`` as the file records it, if it can."""
     try:
-        return lock.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
-
-
-def _parse_owner(text: Optional[str]) -> Optional[dict]:
-    try:
-        owner = json.loads(text)
-    except (TypeError, ValueError):
-        return None
-    return owner if isinstance(owner, dict) else None
-
-
-def _local_pid(owner: Optional[dict]) -> Optional[int]:
-    """The pid ``owner`` names if it is a process of this host."""
-    if owner is None or owner.get("host") != os.uname().nodename:
-        return None
-    pid = owner.get("pid")
-    return pid if type(pid) is int and pid > 0 else None
-
-
-def _pid_is_gone(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, OverflowError):
-        pass    # alive under another user, or no possible pid
-    return False
-
-
-def _owner_is_dead(owner: Optional[dict]) -> bool:
-    """Whether ``owner`` is a process of this host that no longer exists."""
-    pid = _local_pid(owner)
-    return pid is not None and _pid_is_gone(pid)
-
-
-def _break_lock(lock: Path, seen: Optional[str]) -> bool:
-    """Remove ``lock`` if it still holds the text ``seen``; whether it did.
-
-    The lock is first renamed to a name of this process, so of two
-    processes breaking the same stale lock only one removes it; a live
-    lock taken in between is put back (FileExistsError if another took
-    its place meanwhile)."""
-    grabbed = lock.with_name(f"{lock.name}.{os.getpid()}.stale")
-    try:
-        os.rename(lock, grabbed)
-    except FileNotFoundError:
-        return False
-    try:
-        if _lock_text(grabbed) != seen:
-            os.link(grabbed, lock)
-            return False
-    finally:
-        grabbed.unlink()
-    return True
-
-
-def _held_message(lock: Path, text: Optional[str]) -> str:
-    owner = _parse_owner(text)
-    if owner is None:
-        return (f"lock file {lock} exists with no readable owner; "
-                f"concurrent injection?")
-    return (f"lock file {lock} is held by pid {owner.get('pid')} on "
-            f"{owner.get('host')} since {owner.get('time')}")
-
-
-def break_lock(root: Path) -> Optional[str]:
-    """Remove the lock beside ``root`` unless a live process of this host
-    holds it, and describe the owner it removed: a process of another host,
-    a dead process of this host, or an owner that cannot be read (a kill
-    between creating the lock and writing it). None if there is no lock,
-    or another process removed or replaced it meanwhile.
-    Raises LockHeldError for a live (or possibly live) owner of this host.
-    A journal the lock guarded is left for the next recovery."""
-    lock = _beside(root, LOCK_SUFFIX)
-    if not os.path.lexists(lock):
-        return None
-    seen = _lock_text(lock)
-    owner = _parse_owner(seen)
-    pid = _local_pid(owner)
-    if pid is not None and not _pid_is_gone(pid):
-        raise LockHeldError(_held_message(lock, seen))
-    if not _break_lock(lock, seen):
-        return None
-    if owner is None:
-        return f"lock file {lock} with no readable owner ({seen!r})"
-    return (f"lock file {lock} of pid {owner.get('pid')} on "
-            f"{owner.get('host')} since {owner.get('time')}")
+        owner = json.loads(os.pread(fd, 4096, 0))
+        holder = f"pid {owner['pid']} on {owner['host']} since {owner['time']}"
+    except (ValueError, TypeError, KeyError):
+        holder = "another process"
+    return f"lock file {lock} is held by {holder}"
 
 
 @contextmanager
-def _locked(root: Path) -> Iterator[None]:
-    """Hold ``<tree>.lock`` for the block.
+def locked(root: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``<tree>.lock`` for the block.
 
-    A lock left by a dead process of this host (a killed apply) is broken
-    and taken; any other existing lock raises LockHeldError."""
+    The kernel drops the lock when its holder exits, however it exits, so
+    a lock file that no process holds (one a killed apply left, say) is
+    simply taken; a held one raises LockHeldError. The holder writes its
+    pid, host and time into the file, when the disk lets it, for that
+    error to name. On release the file is unlinked before it is closed.
+    Needs a file system whose ``flock`` works (not NFS mounted ``nolock``)."""
     lock = _beside(root, LOCK_SUFFIX)
-    try:
-        _take_lock(lock)
-    except FileExistsError:
-        seen = _lock_text(lock)
-        if not _owner_is_dead(_parse_owner(seen)):
-            raise LockHeldError(_held_message(lock, seen)) from None
+    held = False
+    while not held:
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o666)
         try:
-            _break_lock(lock, seen)
-            _take_lock(lock)
-        except FileExistsError:
-            raise LockHeldError(_held_message(lock, _lock_text(lock))) from None
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # A holder that released the file between our open and our
+            # flock has unlinked it: then the path is opened again.
+            held = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except BlockingIOError:
+            raise LockHeldError(_held_message(lock, fd)) from None
+        except FileNotFoundError:
+            pass
+        finally:
+            if not held:
+                os.close(fd)
+    owner = {"pid": os.getpid(), "host": os.uname().nodename,
+             "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     try:
+        with suppress(OSError):    # the owner only names the holder
+            if os.fstat(fd).st_size:
+                os.ftruncate(fd, 0)
+            os.write(fd, (json.dumps(owner) + "\n").encode("utf-8"))
         yield
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _write_journal(root: Path, staged: Sequence[str]) -> None:
@@ -512,7 +440,7 @@ def recover(root: Path) -> None:
     without a journal belong to an apply that never committed: they are
     deleted (roll back). Takes the tree lock only when there is work."""
     if _beside(root, JOURNAL_SUFFIX).exists() or _temp_files(root):
-        with _locked(root):
+        with locked(root):
             _recover(root)
 
 
@@ -540,7 +468,7 @@ def apply_plan(root: Path, plan: InjectionPlan) -> InjectionResult:
     """Apply a plan to the tree, rewriting only the touched files."""
     if not plan.patches:
         return InjectionResult(root=root.name, applied=0, files_changed=[])
-    with _locked(root):
+    with locked(root):
         _recover(root)
         by_file = _by_file(plan)
         current = {rel: _read_text(root, rel) for rel in by_file}

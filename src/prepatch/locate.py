@@ -344,8 +344,8 @@ class ClassIndex:
             parses += 1
             first = owners.setdefault(parsed.class_name, rel)
             if first != rel:
-                issues.append((rel, f"duplicate class {parsed.class_name}; "
-                                    f"first defined in {first}"))
+                issues.append((rel, f"duplicate class {parsed.class_name} "
+                                    f"(first defined in {first})"))
         return parses, issues
 
     @property

@@ -178,35 +178,41 @@ def materialize(app: scan.AppFiles, workdir: Path) -> Path:
     chunk at a time from the spot its load recorded, with the checks of the
     load's own reads. A member those checks refuse fails the app with
     ``UnscannableApkError`` naming it, and the partial tree is removed.
+    An existing tree is replaced only under its lock (``inject.locked``),
+    so a tree that another process is patching raises LockHeldError
+    before anything is deleted.
     """
     source = app.source
     if app.unsafe_entry is not None:
         raise scan.UnscannableApkError(source, f"unsafe entry {app.unsafe_entry!r}")
     tree = workdir / app.name
-    if tree.exists():
-        shutil.rmtree(tree)
-    tree.mkdir(parents=True)
     # Entry names are relative paths (an archive name that is not was
     # refused above), so plain strings name the files joined Paths would.
     root = str(tree)
     from_tree = source.is_dir()
-    try:
-        with open(source, "rb") if app.unread else contextlib.nullcontext() as archive:
-            for folder, names in scan.by_folder(dict.fromkeys(app.entries)).items():
-                os.makedirs(f"{root}/{folder}", exist_ok=True)
-                dst_fd = os.open(f"{root}/{folder}", scan.DIR_FLAGS)
-                try:
-                    if from_tree:
-                        _link_folder(app, folder, names, dst_fd)
-                    else:
-                        _write_folder(app, folder, names, dst_fd, archive)
-                finally:
-                    os.close(dst_fd)
-        for rel in app.dirs:
-            os.makedirs(f"{root}/{rel}", exist_ok=True)
-    except (OSError, scan.MemberError) as exc:
-        shutil.rmtree(tree, ignore_errors=True)
-        raise scan.UnscannableApkError(source, str(exc)) from exc
+    workdir.mkdir(parents=True, exist_ok=True)
+    with inject.locked(tree):
+        if tree.exists():
+            shutil.rmtree(tree)
+        tree.mkdir()
+        try:
+            with open(source, "rb") if app.unread else \
+                    contextlib.nullcontext() as archive:
+                for folder, names in scan.by_folder(dict.fromkeys(app.entries)).items():
+                    os.makedirs(f"{root}/{folder}", exist_ok=True)
+                    dst_fd = os.open(f"{root}/{folder}", scan.DIR_FLAGS)
+                    try:
+                        if from_tree:
+                            _link_folder(app, folder, names, dst_fd)
+                        else:
+                            _write_folder(app, folder, names, dst_fd, archive)
+                    finally:
+                        os.close(dst_fd)
+            for rel in app.dirs:
+                os.makedirs(f"{root}/{rel}", exist_ok=True)
+        except (OSError, scan.MemberError) as exc:
+            shutil.rmtree(tree, ignore_errors=True)
+            raise scan.UnscannableApkError(source, str(exc)) from exc
     return tree
 
 

@@ -142,7 +142,7 @@ class Member(NamedTuple):
     what ``copy_direct`` needs to read it without ``zipfile``."""
     name: str                   # the name in its local header
     offset: int                 # of its local header
-    end: Optional[int]          # where the next record starts, if known
+    end: int                    # where the next record starts
     compress_size: int
     file_size: int
     crc: int
@@ -152,7 +152,7 @@ class Member(NamedTuple):
 
 def _member(info: zipfile.ZipInfo, ends: Dict[int, int]) -> Member:
     return Member(info.orig_filename, info.header_offset,
-                  ends.get(info.header_offset), info.compress_size,
+                  ends[info.header_offset], info.compress_size,
                   info.file_size, info.CRC, info.compress_type, info.flag_bits)
 
 
@@ -225,7 +225,7 @@ def _seek_data(fh, member: Member) -> None:
     if name != member.name:
         raise MemberError(member, f"local header names {raw_name!r}")
     fh.seek(extra_length, os.SEEK_CUR)
-    if member.end is not None and fh.tell() + member.compress_size > member.end:
+    if fh.tell() + member.compress_size > member.end:
         raise MemberError(member, "data runs into the next member")
 
 

@@ -1,13 +1,14 @@
 import io
 import os
 import random
+import signal
 import struct
 import zipfile
 import zlib
 
 import pytest
 
-from prepatch import synth
+from prepatch import inject, synth
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,48 @@ def app_tree(tmp_path):
         synth.write_tree(files, tree)
         return tree, truth, files
     return make
+
+
+class LockHolders:
+    """Child processes that each take a tree's lock with ``inject.locked``
+    and hold it until they are killed."""
+
+    def __init__(self):
+        self.pids = []
+
+    def hold(self, tree):
+        """The pid of a new child, once it holds the lock beside ``tree``."""
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                with inject.locked(tree):
+                    os.write(write_end, b"held")
+                    while True:
+                        signal.pause()
+            finally:
+                os._exit(1)
+        self.pids.append(pid)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as ready:
+            assert ready.read(4) == b"held", "the child did not take the lock"
+        return pid
+
+    def kill(self, pid):
+        """SIGKILL the child and reap it, so the kernel has dropped its lock."""
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        self.pids.remove(pid)
+
+
+@pytest.fixture
+def lock_holders():
+    """A ``LockHolders``; every child still alive is killed after the test."""
+    holders = LockHolders()
+    yield holders
+    for pid in list(holders.pids):
+        holders.kill(pid)
 
 
 @pytest.fixture

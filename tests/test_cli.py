@@ -319,69 +319,66 @@ def test_inject_stale_tree_blocked(tree, capsys, monkeypatch):
     assert "changed since planning" in err
 
 
-def test_inject_tree_with_a_held_lock_to_recover_is_blocked(tree, capsys):
-    (tree.parent / (tree.name + inject.JOURNAL_SUFFIX)).write_text("[]\n")
+def test_inject_tree_with_a_held_lock_to_recover_is_blocked(tree, capsys,
+                                                            lock_holders):
+    journal = tree.parent / (tree.name + inject.JOURNAL_SUFFIX)
+    journal.write_text("[]\n")
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
-    lock.write_text(json.dumps({"pid": os.getpid(), "host": os.uname().nodename,
-                                "time": "t"}) + "\n")
+    pid = lock_holders.hold(tree)
+    held, before = lock.read_bytes(), _files(tree)
     code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
-    assert code == cli.EXIT_BLOCKED and f"pid {os.getpid()}" in err
-    assert lock.exists()
+    assert code == cli.EXIT_BLOCKED and f"held by pid {pid} on" in err
+    assert lock.read_bytes() == held and journal.exists()
+    assert _files(tree) == before
 
 
 _FOREIGN = {"pid": 4242, "host": "elsewhere.invalid", "time": "t0"}
 
 
-@pytest.mark.parametrize("held, owner", [
-    (json.dumps(_FOREIGN).encode(), "pid 4242 on elsewhere.invalid since t0"),
-    (b"", "no readable owner ('')"),
-    (b"held", "no readable owner ('held')"),
-    (b"\xff\xfe", "no readable owner (None)"),
-    (json.dumps({"host": os.uname().nodename}).encode(), "pid None on"),
+@pytest.mark.parametrize("held", [
+    json.dumps(_FOREIGN).encode(), b"", b"held", b"\xff\xfe",
+    json.dumps({"host": os.uname().nodename}).encode(),
 ], ids=["foreign", "empty", "not-json", "not-utf8", "no-pid"])
 def test_inject_break_lock_removes_a_foreign_or_unreadable_lock(
-        tree, capsys, held, owner):
+        tree, capsys, held):
+    """A lock file that no process holds is taken over without any option,
+    whatever it says, and is gone after the apply."""
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
     lock.write_bytes(held)
-    args = ["inject", str(tree), "--rotation-delta", "90"]
-    code, _, err = run(args, capsys)
-    assert code == cli.EXIT_BLOCKED and "blocked: lock file" in err
-    assert lock.read_bytes() == held
-    code, out, err = run([*args, "--break-lock"], capsys)
+    code, out, _ = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == 0 and "applied 1 patches" in out
-    assert f"broke lock file {lock}" in err and owner in err
     assert not lock.exists()
 
 
-def test_inject_break_lock_keeps_a_live_lock_of_this_host(tree, capsys):
+def test_inject_break_lock_keeps_a_live_lock_of_this_host(tree, capsys,
+                                                          lock_holders):
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
-    held = json.dumps({"pid": os.getpid(), "host": os.uname().nodename,
-                       "time": "t"})
-    lock.write_text(held)
-    before = _files(tree)
-    code, _, err = run(["inject", str(tree), "--rotation-delta", "90",
-                        "--break-lock"], capsys)
-    assert code == cli.EXIT_BLOCKED and f"pid {os.getpid()}" in err
-    assert "broke" not in err
-    assert lock.read_text() == held and _files(tree) == before
+    pid = lock_holders.hold(tree)
+    held, before = lock.read_bytes(), _files(tree)
+    args = ["inject", str(tree), "--rotation-delta", "90"]
+    code, _, err = run(args, capsys)
+    assert code == cli.EXIT_BLOCKED and f"held by pid {pid} on" in err
+    assert lock.read_bytes() == held and _files(tree) == before
+    # Once its holder is killed, the lock file it left no longer blocks.
+    lock_holders.kill(pid)
+    code, out, _ = run(args, capsys)
+    assert code == 0 and "applied 1 patches" in out and not lock.exists()
 
 
-def test_inject_break_lock_beside_an_archive_work_tree(corpus, tmp_path, capsys):
+def test_inject_break_lock_beside_an_archive_work_tree(corpus, tmp_path, capsys,
+                                                       lock_holders):
     apk = corpus[0] / "app02_s2.apk"
     workdir = tmp_path / "w"
     workdir.mkdir()
     lock = workdir / ("app02_s2" + inject.LOCK_SUFFIX)
-    lock.write_text(json.dumps(_FOREIGN))
-    code, out, err = run(["inject", str(apk), "--rotation-delta", "90",
-                          "--workdir", str(workdir), "--break-lock"], capsys)
-    assert code == 0 and "applied 1 patches" in out
-    assert "on elsewhere.invalid" in err and not lock.exists()
-
-
-def test_inject_break_lock_is_refused_with_dry_run(tree, capsys):
-    code, _, err = run(["inject", str(tree), "--rotation-delta", "90",
-                        "--dry-run", "--break-lock"], capsys)
-    assert code == cli.EXIT_USAGE and "--break-lock" in err
+    args = ["inject", str(apk), "--rotation-delta", "90", "--workdir", str(workdir)]
+    pid = lock_holders.hold(workdir / "app02_s2")
+    code, _, err = run(args, capsys)
+    assert code == cli.EXIT_BLOCKED and f"held by pid {pid} on" in err
+    assert [p.name for p in workdir.iterdir()] == [lock.name]
+    lock_holders.kill(pid)
+    code, out, _ = run(args, capsys)
+    assert code == 0 and "applied 1 patches" in out and not lock.exists()
 
 
 class _Killed(BaseException):
@@ -432,15 +429,12 @@ def test_inject_break_lock_then_recovers_the_pending_journal(
     _interrupted_apply(tree, monkeypatch, "replace")
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
     lock.write_text(json.dumps(_FOREIGN))
-    args = ["inject", str(tree), "--rotation-delta", "90"]
-    code, _, err = run(args, capsys)
-    assert code == cli.EXIT_BLOCKED and "elsewhere.invalid" in err
     assert (tree.parent / (tree.name + inject.JOURNAL_SUFFIX)).exists()
 
-    # The journal is rolled forward, so the tree is the applied one and the
-    # marker it now carries stops a second patch.
-    code, _, err = run([*args, "--break-lock"], capsys)
-    assert "broke lock file" in err
+    # The lock file has no holder, so the journal is rolled forward: the
+    # tree is the applied one and the marker it now carries stops a second
+    # patch.
+    code, _, err = run(["inject", str(tree), "--rotation-delta", "90"], capsys)
     assert code == cli.EXIT_BLOCKED and "already carries" in err
     assert _files(tree) == _files(applied)
     assert sorted(p.name for p in tree.parent.iterdir()) == sorted(

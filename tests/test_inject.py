@@ -1,4 +1,5 @@
 import builtins
+import fcntl
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import pathlib
 import random
 import shutil
 import signal
+import time
 
 import pytest
 
@@ -202,16 +204,63 @@ def test_stale_plan_leaves_tree_untouched(app_tree):
     assert not (tree.parent / (tree.name + ".injecting")).exists()
 
 
-def test_lock_file_blocks_concurrent_apply(app_tree):
+def test_lock_file_blocks_concurrent_apply(app_tree, lock_holders):
     tree, _, _ = app_tree("s2", 2)
     plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
+    before = snapshot(tree)
     lock = tree.parent / (tree.name + ".lock")
-    lock.write_text("held")
-    with pytest.raises(inject.LockHeldError):
+    journal = tree.parent / (tree.name + inject.JOURNAL_SUFFIX)
+    journal.write_text("[]\n")    # so that recover has work to lock for
+    pid = lock_holders.hold(tree)
+    held = lock.read_bytes()
+    owner = f"held by pid {pid} on {os.uname().nodename} since "
+    with pytest.raises(inject.LockHeldError, match=owner):
         inject.apply_plan(tree, plan)
-    lock.unlink()
+    with pytest.raises(inject.LockHeldError, match=owner):
+        inject.recover(tree)
+    assert snapshot(tree) == before and journal.exists()
+    assert lock.read_bytes() == held
+
+    # A holder that has not written its owner yet still blocks.
+    lock_holders.kill(pid)
+    fd = os.open(lock, os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        os.ftruncate(fd, 0)
+        with pytest.raises(inject.LockHeldError, match="held by another process"):
+            inject.apply_plan(tree, plan)
+    finally:
+        os.close(fd)
     inject.apply_plan(tree, plan)
-    assert not lock.exists()
+    assert not lock.exists() and not journal.exists()
+
+
+def test_lock_is_held_by_one_process_at_a_time(tmp_path):
+    """Three processes take one tree's lock over and over for half a
+    second; inside it each creates a file that only one may hold."""
+    tree, inside = tmp_path / "app", tmp_path / "inside"
+    pids = []
+    for _ in range(3):
+        pid = os.fork()
+        if pid == 0:
+            code, taken = 2, 0
+            try:
+                end = time.monotonic() + 0.5
+                while time.monotonic() < end:
+                    try:
+                        with inject.locked(tree):
+                            os.close(os.open(inside, os.O_CREAT | os.O_EXCL))
+                            os.unlink(inside)
+                            taken += 1
+                    except inject.LockHeldError:
+                        pass
+                code = 0 if taken else 3
+            finally:
+                os._exit(code)
+        pids.append(pid)
+    codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    assert set(codes) <= {0, 3} and 0 in codes, codes
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_marker_check_runs_on_every_file_before_any_span(tmp_path):
@@ -564,21 +613,25 @@ def test_lock_of_a_killed_apply_is_broken_and_rolled_forward(tmp_path, step):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["three"]
 
 
-def test_lock_of_a_live_or_foreign_owner_is_kept(app_tree):
-    tree, _, _ = app_tree("s2", 2)
+def test_lock_file_that_no_process_holds_is_taken(app_tree):
+    tree, _, files = app_tree("s2", 2)
     plan = inject.plan_injection(tree, PerturbationSpec(rotation_delta=90))
-    before = snapshot(tree)
     dead = os.fork()
     if dead == 0:
         os._exit(0)
     os.waitpid(dead, 0)
     lock = tree.parent / (tree.name + inject.LOCK_SUFFIX)
-    for owner in ({"pid": os.getpid(), "host": os.uname().nodename, "time": "t"},
+    host = os.uname().nodename
+    # A live pid of this host that is not the holder (a reused pid), a
+    # process of another host, and a pid that cannot exist.
+    for owner in ({"pid": os.getpid(), "host": host, "time": "t"},
                   {"pid": dead, "host": "elsewhere.invalid", "time": "t"},
-                  {"pid": 2 ** 40, "host": os.uname().nodename, "time": "t"}):
+                  {"pid": 2 ** 40, "host": host, "time": "t"}):
         lock.write_text(json.dumps(owner))
-        with pytest.raises(inject.LockHeldError,
-                           match=f"pid {owner['pid']} on {owner['host']}"):
-            inject.apply_plan(tree, plan)
-        assert json.loads(lock.read_text()) == owner
-    assert snapshot(tree) == before
+        with inject.locked(tree):
+            assert json.loads(lock.read_text())["pid"] == os.getpid()
+        assert not lock.exists()
+    lock.write_text(json.dumps(owner))
+    inject.apply_plan(tree, plan)
+    assert inject.MARKER_FIELD in (tree / wrapper_rel(files)).read_text()
+    assert not lock.exists()

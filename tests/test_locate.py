@@ -516,7 +516,7 @@ def test_duplicate_class_in_second_dex_is_an_issue(tmp_path):
     assert index.resolve(descriptor)[0] == first
     assert index.unit(second) is not None
     issues = index.validate()[1]
-    assert (second, f"duplicate class {descriptor}; first defined in {first}") \
+    assert (second, f"duplicate class {descriptor} (first defined in {first})") \
         in issues
     assert len(issues) == 2
 
@@ -577,7 +577,7 @@ def _eager_reference(files) -> _Eager:
         first, _ = ref.owners.setdefault(unit.class_name, (rel, unit))
         if first != rel:
             ref.issues.append(
-                (rel, f"duplicate class {unit.class_name}; first defined in {first}"))
+                (rel, f"duplicate class {unit.class_name} (first defined in {first})"))
     return ref
 
 

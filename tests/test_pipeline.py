@@ -1,6 +1,8 @@
 import difflib
 import errno
+import fcntl
 import io
+import json
 import os
 import random
 import signal
@@ -777,3 +779,67 @@ def test_rerun_after_a_killed_apply_still_injects(tmp_path):
     assert rerun.to_dict() == clean.to_dict() and rerun.injected_apps == 1
     assert sorted(p.name for p in workdir.iterdir()) == ["app"]
     assert _snapshot(workdir) == _snapshot(tmp_path / "clean")
+
+
+def _lock_of_a_child_killed_after_its_flock(apk, workdir, spec):
+    """Run the pipeline in a child that is SIGKILLed right after its first
+    ``flock``, before it writes its owner: an empty lock file is left."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            real = fcntl.flock
+
+            def flock(fd, operation):
+                real(fd, operation)
+                os.kill(os.getpid(), signal.SIGKILL)
+            fcntl.flock = flock
+            pipeline.run_pipeline([apk], workdir, spec=spec)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+
+@pytest.mark.parametrize("leave", [
+    lambda apk, workdir, spec: (workdir / "app.lock").write_bytes(b""),
+    lambda apk, workdir, spec: (workdir / "app.lock").write_text(json.dumps(
+        {"pid": 1, "host": os.uname().nodename, "time": "t"})),
+    _lock_of_a_child_killed_after_its_flock,
+], ids=["empty", "pid-1", "killed-after-flock"])
+def test_lock_file_that_no_process_holds_does_not_block(tmp_path, leave):
+    apk = tmp_path / "app.apk"
+    _archive(apk, "s2", 2)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    spec = PerturbationSpec(rotation_delta=90)
+    leave(apk, workdir, spec)
+    assert [p.name for p in workdir.iterdir()] == ["app.lock"]
+    (outcome,) = pipeline.run_pipeline([apk], workdir, spec=spec).outcomes
+    assert outcome.injected and outcome.error is None
+    assert [p.name for p in workdir.iterdir()] == ["app"]
+
+
+def test_held_lock_keeps_the_tree_and_fails_only_its_app(tmp_path, lock_holders):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _archive(corpus / "app.apk", "s2", 2)
+    _archive(corpus / "other.apk", "s3", 4)
+    workdir = tmp_path / "work"
+    sentinel = workdir / "app" / "sentinel"
+    sentinel.parent.mkdir(parents=True)
+    sentinel.write_text("kept")
+    pid = lock_holders.hold(workdir / "app")
+    lock = workdir / "app.lock"
+    held = lock.read_bytes()
+    report = pipeline.run_pipeline(pipeline.collect_sources(corpus), workdir,
+                                   spec=PerturbationSpec(rotation_delta=90))
+    by_source = {o.source: o for o in report.outcomes}
+    refused = by_source["app.apk"]
+    assert not refused.injected and refused.matched
+    assert refused.error == (f"lock file {lock} is held by pid {pid} on "
+                             f"{json.loads(held)['host']} since "
+                             f"{json.loads(held)['time']}")
+    assert by_source["other.apk"].injected
+    assert [p.name for p in sentinel.parent.iterdir()] == ["sentinel"]
+    assert sentinel.read_text() == "kept"
+    assert lock.read_bytes() == held
