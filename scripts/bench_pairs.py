@@ -18,6 +18,12 @@ lost, whether the change's median is within the metric's bound of the
 parent's, and whether the gain rule holds: the change wins at least nine in
 ten pairs and its median is better than the parent's by more than the
 parent's quartile spread.
+
+Absolute times do not carry from one session to the next, so the summary
+also holds a calibration, taken before and after the pairs: the seconds
+that a fixed pure-Python loop, a fixed small numpy reduction and a fixed
+file create/unlink loop in the change's checkout take. A reader scales one
+file's numbers against another's by these.
 """
 import argparse
 import json
@@ -27,8 +33,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
+
+import numpy as np
 
 SIDES = ("parent", "change")
 
@@ -58,6 +68,36 @@ def short_sha(checkout):
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True, check=False)
     return proc.stdout.strip() or None
+
+
+def calibrate(directory, python_loops=1_000_000, numpy_loops=20_000, files=2000):
+    """Seconds of three fixed loops: ``python_loops`` additions in pure
+    Python, ``numpy_loops`` sums of a 1024-element array, and ``files``
+    files each created and unlinked in a new folder under ``directory``."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(python_loops):
+        total += i
+    python_s = time.perf_counter() - start
+
+    values = np.arange(1024.0)
+    start = time.perf_counter()
+    for _ in range(numpy_loops):
+        values.sum()
+    numpy_s = time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory(prefix=".bench_calibration-",
+                                     dir=directory) as folder:
+        start = time.perf_counter()
+        for i in range(files):
+            path = os.path.join(folder, str(i))
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+        files_s = time.perf_counter() - start
+    return {"python_loop_s": python_s, "numpy_sum_s": numpy_s,
+            "file_create_unlink_s": files_s,
+            "counts": {"python_loops": python_loops, "numpy_loops": numpy_loops,
+                       "files": files}}
 
 
 def spread(runs):
@@ -113,6 +153,7 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     results = {side: [] for side in SIDES}
     first = []
+    calibration = {"before": calibrate(args.change)}
     for number, seed in enumerate(args.seeds):
         order = SIDES if number % 2 == 0 else SIDES[::-1]
         first.append(order[0])
@@ -122,6 +163,7 @@ def main(argv=None):
             shown = " ".join(f"{name}={m['value']:.4g}"
                              for name, m in result["metrics"].items())
             print(f"seed {seed} {side}: {shown}", file=sys.stderr)
+    calibration["after"] = calibrate(args.change)
 
     metrics = {}
     for metric in declared["end_to_end"]:
@@ -138,6 +180,7 @@ def main(argv=None):
         "correct": {side: [r["correct"] for r in results[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
         "metrics": metrics,
+        "calibration": calibration,
     }
     if args.trace_seed is not None:
         summary["traced"] = {

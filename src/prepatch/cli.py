@@ -104,11 +104,14 @@ def _load_config(args: argparse.Namespace) -> Config:
 
 def _parse_size(text: str) -> Tuple[int, int]:
     try:
-        width, height = text.lower().split("x")
-        return int(width), int(height)
+        width, height = (int(side) for side in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected WIDTHxHEIGHT, got {text!r}") from exc
+    if width <= 0 or height <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected positive WIDTHxHEIGHT, got {text!r}")
+    return width, height
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +289,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     previews = [tuple(size) for size in args.preview] or [(640, 320)]
-    result = sim.run_experiment(
-        spec, image_count=config.image_count, seed=config.seed,
-        preview_sizes=previews, do_normalize=args.normalize,
-        threshold=config.detection_threshold,
-        desired=(config.desired_width, config.desired_height))
+    try:
+        result = sim.run_experiment(
+            spec, image_count=config.image_count, seed=config.seed,
+            preview_sizes=previews, do_normalize=args.normalize,
+            threshold=config.detection_threshold,
+            desired=(config.desired_width, config.desired_height))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for run in (result.baseline, result.perturbed):
         print(f"{run.label}: rotation={run.rotation} "
               f"rate={run.detection_rate:.2f} mean_score={run.mean_score:.4f} "

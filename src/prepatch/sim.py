@@ -18,13 +18,19 @@ one per model-input pixel for the model resize and again for normalizing.
 rotated frame: every stage samples by nearest neighbour, so the three
 compose into one map from model-input pixel to source pixel, which is
 built once per run and gathered from the whole image batch at once.
+``ncc`` then scores the whole stack against the template in one pass,
+computing the template's mean and energy once (Lewis, "Fast Normalized
+Cross-Correlation", 1995); a single frame is a stack of one, so the
+reference and the batch share one formula and one summation order.
+``make_dataset`` draws every image's offset and noise in one call, in the
+order that per-image ``uniform`` draws take them from the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,29 +214,33 @@ def source_map(image_shape: Tuple[int, int], preview: SizePair,
 
     Walks back from the model-input grid through the model resize, the
     rotation and the preview resize, touching only the sampled pixels.
+    A right angle maps model rows and columns to preview rows and columns
+    one axis at a time, so its map is the sum of two broadcast vectors.
     """
     height, width = image_shape
     degrees = rotation % 360
     turned = ((preview.width, preview.height) if degrees in (90, 270)
               else (preview.height, preview.width))
-    ys, xs = np.meshgrid(_resize_index(turned[0], MODEL_INPUT[0]),
-                         _resize_index(turned[1], MODEL_INPUT[1]),
-                         indexing="ij")
-    valid = np.ones(ys.shape, dtype=bool)
-    # The inverses of np.rot90(frame, -k) for k = 1, 2, 3.
+    ys = _resize_index(turned[0], MODEL_INPUT[0])
+    xs = _resize_index(turned[1], MODEL_INPUT[1])
+    rows = _resize_index(height, preview.height) * width
+    cols = _resize_index(width, preview.width)
+    # The inverses of np.rot90(frame, -k) for k = 1, 2, 3: a model row
+    # picks a preview column (90, 270) or a mirrored preview row (180).
+    if degrees == 0:
+        return rows[ys][:, None] + cols[xs]
     if degrees == 90:
-        ys, xs = preview.height - 1 - xs, ys
-    elif degrees == 180:
-        ys, xs = preview.height - 1 - ys, preview.width - 1 - xs
-    elif degrees == 270:
-        ys, xs = xs, preview.width - 1 - ys
-    elif degrees:
-        ys, xs, valid = _inverse_rotate(ys, xs, (preview.height, preview.width),
-                                        degrees)
-        ys, xs = np.where(valid, ys, 0), np.where(valid, xs, 0)
-    rows = _resize_index(height, preview.height)[ys]
-    cols = _resize_index(width, preview.width)[xs]
-    return np.where(valid, rows * width + cols, -1)
+        return rows[preview.height - 1 - xs] + cols[ys][:, None]
+    if degrees == 180:
+        return (rows[preview.height - 1 - ys][:, None]
+                + cols[preview.width - 1 - xs])
+    if degrees == 270:
+        return rows[xs] + cols[preview.width - 1 - ys][:, None]
+    ys, xs = np.meshgrid(ys, xs, indexing="ij")
+    ys, xs, valid = _inverse_rotate(ys, xs, (preview.height, preview.width),
+                                    degrees)
+    ys, xs = np.where(valid, ys, 0), np.where(valid, xs, 0)
+    return np.where(valid, rows[ys] + cols[xs], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +260,30 @@ def make_template(size: int = 32) -> np.ndarray:
     return img
 
 
-def ncc(a: np.ndarray, b: np.ndarray) -> float:
-    """Zero-mean normalized cross-correlation of two same-shape images."""
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((da * db).sum() / denom)
+def ncc(frames: np.ndarray,
+        reference: np.ndarray) -> Union[float, List[float]]:
+    """Zero-mean normalized cross-correlation of each frame with ``reference``.
+
+    ``frames`` is one image of the reference's shape, scored as a float, or
+    a stack of such images, scored as a list of floats. A frame with no
+    variance, or a flat reference, scores 0.0.
+    """
+    single = frames.shape == reference.shape
+    if frames.shape[-reference.ndim:] != reference.shape:
+        raise ValueError(f"frames of shape {frames.shape} do not stack "
+                         f"images of shape {reference.shape}")
+    # Row reductions over a strided stack, such as a gather whose batch axis
+    # is innermost in memory, add in another order than over one contiguous
+    # frame; a C-order copy keeps every score equal to the single frame's.
+    stack = np.ascontiguousarray(frames).reshape(-1, reference.size)
+    ref = reference.reshape(-1)
+    dref = ref - ref.mean()
+    dev = stack - stack.mean(axis=1, keepdims=True)
+    denom = np.sqrt((dev * dev).sum(axis=1) * float((dref * dref).sum()))
+    dots = (dev * dref).sum(axis=1)
+    scores = np.divide(dots, denom, out=np.zeros_like(dots),
+                       where=denom != 0.0).tolist()
+    return scores[0] if single else scores
 
 
 def upscale2x(image: np.ndarray) -> np.ndarray:
@@ -266,14 +292,18 @@ def upscale2x(image: np.ndarray) -> np.ndarray:
 
 def make_dataset(template: np.ndarray, count: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Noisy 2x upscales of the template, one brightness offset per image."""
+    """Noisy 2x upscales of the template, one brightness offset per image.
+
+    One draw yields, per image, its offset and then its noise, in the order
+    per-image ``rng.uniform`` calls would take them; ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()``, so the values are the same bit for bit.
+    """
     base = upscale2x(template)
-    images = np.empty((count,) + base.shape)
-    for i in range(count):
-        offset = rng.uniform(-10.0, 10.0)
-        noise = rng.uniform(-4.0, 4.0, size=base.shape)
-        images[i] = np.clip(base + offset + noise, 0.0, 255.0)
-    return images
+    draws = rng.random((count, 1 + base.size))
+    images = base.reshape(1, -1) + (-10.0 + 20.0 * draws[:, :1])
+    images += -4.0 + 8.0 * draws[:, 1:]
+    np.clip(images, 0.0, 255.0, out=images)
+    return images.reshape((count,) + base.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +368,19 @@ def run_once(images: np.ndarray, template: np.ndarray, preview: SizePair,
     ``ncc`` on each image in turn.
     """
     count, height, width = images.shape
-    index = source_map((height, width), preview, rotation)
-    # Index -1 reads the last pixel; those samples are zeroed next.
-    frames = images.reshape(count, height * width)[:, index]
-    frames[:, index < 0] = 0
+    index = source_map((height, width), preview, rotation).ravel()
+    frames = np.take(images.reshape(count, height * width), index, axis=1)
+    # Index -1 reads the last pixel; a rotation by a non-right angle zeroes
+    # those samples.
+    missing = index < 0
+    if missing.any():
+        frames[:, missing] = 0
+    frames = frames.reshape((count,) + MODEL_INPUT)
     reference = template
     if do_normalize:
         frames = normalize(frames)
         reference = normalize(template)
-    scores = [ncc(frame, reference) for frame in frames]
+    scores = ncc(frames, reference)
     return RunResult(label=label, rotation=rotation,
                      detections=sum(score >= threshold for score in scores),
                      total=count, scores=scores,
@@ -365,8 +399,18 @@ def run_experiment(spec: PerturbationSpec, image_count: int = 100,
     The preview is the supported size whose area is closest to the
     ``desired`` (width, height). The baseline applies no extra rotation;
     the perturbed run applies the spec to a stored rotation of zero, which
-    is what an injected override or delta turns into at runtime.
+    is what an injected override or delta turns into at runtime. A
+    negative ``image_count``, a preview side below 1 or a threshold that is
+    not finite raises ``ValueError``.
     """
+    if image_count < 0:
+        raise ValueError(f"image count must not be negative, got {image_count}")
+    for width, height in preview_sizes:
+        if width <= 0 or height <= 0:
+            raise ValueError(f"preview sides must be positive, got "
+                             f"{width}x{height}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"detection threshold must be finite, got {threshold}")
     template = make_template()
     rng = np.random.default_rng(seed)
     images = make_dataset(template, image_count, rng)

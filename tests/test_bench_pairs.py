@@ -36,3 +36,13 @@ def test_gain_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
     worse = summarize({**metric, "better": "higher"},
                       {"parent": parent, "change": [p * 0.7 for p in parent]})
     assert worse["change_losses"] == 10 and not worse["within_bound"]
+
+
+def test_calibration_times_three_fixed_loops_and_leaves_no_files(tmp_path):
+    calibration = _load().calibrate(tmp_path, python_loops=1000,
+                                    numpy_loops=10, files=5)
+    assert calibration["counts"] == {"python_loops": 1000, "numpy_loops": 10,
+                                     "files": 5}
+    for name in ("python_loop_s", "numpy_sum_s", "file_create_unlink_s"):
+        assert 0.0 < calibration[name] < 60.0
+    assert list(tmp_path.iterdir()) == []

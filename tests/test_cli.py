@@ -486,6 +486,47 @@ def test_simulate_report(tmp_path, capsys):
     assert payload["perturbed"]["rotation"] == 180
 
 
+@pytest.mark.parametrize("size", ["0x240", "-4x3", "640x0", "abc"])
+def test_simulate_refuses_a_preview_side_below_one(size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", f"--preview={size}"])
+    assert exc.value.code == 2
+    assert f"got {size!r}" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_negative_image_count(capsys):
+    code, out, err = run(["simulate", "--rotation-delta", "90",
+                          "--images", "-2"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: image count must not be negative, got -2\n"
+
+
+def test_simulate_refuses_a_negative_image_count_from_config(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"image_count": -1}))
+    code, _, err = run(["simulate", "--config", str(config_path)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: image count must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_simulate_refuses_a_threshold_that_is_not_finite(threshold, capsys):
+    code, out, err = run(["simulate", "--rotation-delta", "90",
+                          f"--threshold={threshold}"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: detection threshold must be finite")
+
+
+def test_simulate_zero_images_reports_empty_runs(tmp_path, capsys):
+    report = tmp_path / "sim.json"
+    code, out, _ = run(["simulate", "--rotation-delta", "90", "--images", "0",
+                        "--report", str(report)], capsys)
+    assert code == 0
+    assert "perturbed: rotation=90 rate=0.00 mean_score=0.0000 pixel_ops=0" in out
+    payload = json.loads(report.read_text())
+    assert payload["baseline"]["total"] == payload["perturbed"]["total"] == 0
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 

@@ -335,3 +335,114 @@ def test_source_map_zero_fills_only_arbitrary_angles():
         assert index.min() >= 0 and index.max() < 64 * 64
     index = sim.source_map((64, 64), preview, 45)
     assert (index == -1).any() and (index >= 0).any()
+
+
+# ---------------------------------------------------------------------------
+# batching: one draw, one gather and one scoring pass per run
+
+
+def _ncc_one(a, b):
+    """Zero-mean normalized cross-correlation of two images, one at a time."""
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = np.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    return 0.0 if denom == 0.0 else float((da * db).sum() / denom)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8])
+def test_make_dataset_equals_per_image_uniform_draws(count):
+    template = sim.make_template()
+    rng = np.random.default_rng(20240817 + count)
+    base = sim.upscale2x(template)
+    want = np.empty((count,) + base.shape)
+    for i in range(count):
+        offset = rng.uniform(-10.0, 10.0)
+        noise = rng.uniform(-4.0, 4.0, size=base.shape)
+        want[i] = np.clip(base + offset + noise, 0.0, 255.0)
+    got = sim.make_dataset(template, count,
+                           np.random.default_rng(20240817 + count))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", sim.LATENCY_SIZES)
+@pytest.mark.parametrize("rotation", [0, 90, 180, 270, 45, 300])
+@pytest.mark.parametrize("do_normalize", [False, True])
+def test_run_once_equals_per_image_pipeline_on_eight_images(size, rotation,
+                                                            do_normalize):
+    # Eight images is the benchmark's batch; a gather of that many lays the
+    # batch axis innermost, which two or three images can hide.
+    template = sim.make_template()
+    images = sim.make_dataset(template, 8, np.random.default_rng(11))
+    preview = sim.SizePair(*size)
+    run = sim.run_once(images, template, preview, rotation, "x",
+                       do_normalize=do_normalize)
+    scores, detections, ops = _per_image(images, template, preview, rotation,
+                                         do_normalize)
+    assert (run.scores, run.detections, run.ops) == (scores, detections, ops)
+    reference = sim.normalize(template) if do_normalize else template
+    assert run.scores == [
+        _ncc_one(sim.preprocess(image, preview, rotation=rotation,
+                                do_normalize=do_normalize), reference)
+        for image in images]
+
+
+def test_ncc_scores_a_stack_as_its_frames_one_by_one():
+    template = sim.make_template()
+    frames = np.random.default_rng(3).uniform(0.0, 255.0, size=(8, 32, 32))
+    frames[2] = 7.0
+    # A strided view of the stack, batch axis innermost.
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(frames, 0, -1)), -1, 0)
+    for stack in (frames, strided):
+        scores = sim.ncc(stack, template)
+        assert scores == [_ncc_one(frame, template) for frame in frames]
+        assert scores[2] == 0.0
+    assert sim.ncc(frames[:0], template) == []
+    assert sim.ncc(frames[1], template) == _ncc_one(frames[1], template)
+    with pytest.raises(ValueError, match="do not stack"):
+        sim.ncc(frames[:, :16], template)
+
+
+def test_run_once_on_no_images():
+    template = sim.make_template()
+    images = sim.make_dataset(template, 0, np.random.default_rng(1))
+    for rotation in (0, 90, 45):
+        run = sim.run_once(images, template, sim.SizePair(640, 320), rotation,
+                           "x", do_normalize=True)
+        assert (run.total, run.detections, run.scores) == (0, 0, [])
+        assert run.ops.total == 0 and run.detection_rate == 0.0
+    result = sim.run_experiment(PerturbationSpec(rotation_delta=90),
+                                image_count=0)
+    assert result.to_dict()["perturbed"]["pixel_ops"] == 0
+
+
+def _grid_source_map(image_shape, preview, rotation):
+    """``source_map`` of a right angle over a full index grid."""
+    height, width = image_shape
+    degrees = rotation % 360
+    turned = ((preview.width, preview.height) if degrees in (90, 270)
+              else (preview.height, preview.width))
+    ys, xs = np.meshgrid(sim._resize_index(turned[0], sim.MODEL_INPUT[0]),
+                         sim._resize_index(turned[1], sim.MODEL_INPUT[1]),
+                         indexing="ij")
+    if degrees == 90:
+        ys, xs = preview.height - 1 - xs, ys
+    elif degrees == 180:
+        ys, xs = preview.height - 1 - ys, preview.width - 1 - xs
+    elif degrees == 270:
+        ys, xs = xs, preview.width - 1 - ys
+    rows = sim._resize_index(height, preview.height)[ys]
+    cols = sim._resize_index(width, preview.width)[xs]
+    return rows * width + cols
+
+
+@pytest.mark.parametrize("rotation", [-90, 0, 90, 180, 270, 450])
+def test_source_map_of_a_right_angle_equals_the_grid_map(rotation):
+    for size in sim.LATENCY_SIZES + ((1, 1), (7, 3), (3, 7), (640, 320)):
+        preview = sim.SizePair(*size)
+        for shape in ((64, 64), (20, 37)):
+            got = sim.source_map(shape, preview, rotation)
+            want = _grid_source_map(shape, preview, rotation)
+            assert got.shape == want.shape == sim.MODEL_INPUT
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (size, shape)
