@@ -300,8 +300,11 @@ def make_dataset(template: np.ndarray, count: int,
     """
     base = upscale2x(template)
     draws = rng.random((count, 1 + base.size))
+    noise = draws[:, 1:]
+    noise *= 8.0
+    noise -= 4.0
     images = base.reshape(1, -1) + (-10.0 + 20.0 * draws[:, :1])
-    images += -4.0 + 8.0 * draws[:, 1:]
+    images += noise
     np.clip(images, 0.0, 255.0, out=images)
     return images.reshape((count,) + base.shape)
 
@@ -400,11 +403,13 @@ def run_experiment(spec: PerturbationSpec, image_count: int = 100,
     ``desired`` (width, height). The baseline applies no extra rotation;
     the perturbed run applies the spec to a stored rotation of zero, which
     is what an injected override or delta turns into at runtime. A
-    negative ``image_count``, a preview side below 1 or a threshold that is
-    not finite raises ``ValueError``.
+    negative ``image_count`` or ``seed``, a preview side below 1 or a
+    threshold that is not finite raises ``ValueError``.
     """
     if image_count < 0:
         raise ValueError(f"image count must not be negative, got {image_count}")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     for width, height in preview_sizes:
         if width <= 0 or height <= 0:
             raise ValueError(f"preview sides must be positive, got "

@@ -494,11 +494,13 @@ def test_simulate_refuses_a_preview_side_below_one(size, capsys):
     assert f"got {size!r}" in capsys.readouterr().err
 
 
-def test_simulate_refuses_a_negative_image_count(capsys):
+@pytest.mark.parametrize("flag,name", [("--images", "image count"),
+                                       ("--seed", "seed")])
+def test_simulate_refuses_a_negative_image_count_or_seed(flag, name, capsys):
     code, out, err = run(["simulate", "--rotation-delta", "90",
-                          "--images", "-2"], capsys)
+                          flag, "-2"], capsys)
     assert code == cli.EXIT_USAGE and out == ""
-    assert err == "error: image count must not be negative, got -2\n"
+    assert err == f"error: {name} must not be negative, got -2\n"
 
 
 def test_simulate_refuses_a_negative_image_count_from_config(tmp_path, capsys):
