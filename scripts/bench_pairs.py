@@ -19,7 +19,7 @@ parent's, and whether the gain rule holds: the change wins at least nine in
 ten pairs and its median is better than the parent's by more than the
 parent's quartile spread.
 
-Absolute times do not carry from one session to the next, so the summary
+Absolute times do not carry from one set of pairs to the next, so the summary
 also holds a calibration, taken before and after the pairs: the seconds
 that a fixed pure-Python loop, a fixed small numpy reduction and a fixed
 file create/unlink loop in the change's checkout take. A reader scales one
