@@ -13,14 +13,26 @@ The files under ``tests/data/`` were written by the CLI on the
 * ``locate_hostile.json``: ``prepatch locate app02_hostile --report`` on the
   tree ``_hostile_tree`` writes: synth ``s2`` plus a file that does not
   decode, one that does not parse, its wrapper with CRLF line ends, and a
-  duplicate of that wrapper in ``smali_classes2/``.
+  duplicate of that wrapper in ``smali_classes2/``;
+* ``cli_streams.json``: the exit code, stdout and stderr of each CLI run
+  that ``_stream_runs`` makes, in order, with the corpus path written as
+  ``<CORPUS>`` and the test's temporary directory as ``<TMP>``: ``locate``,
+  an ``inject --dry-run`` and an ``inject --workdir`` of every archive, a
+  dry run, an apply and a blocked second apply on the extracted
+  ``app02_s2`` tree, and the refusals. ``PYTHONPATH=src python
+  tests/test_golden.py`` rewrites it.
 
 A change that alters any of these bytes changes what the tool reports or
 writes; regenerate them only when that is the intent.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import random
+import tempfile
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -108,3 +120,69 @@ def test_inject_archive_writes_the_golden_tree(golden_corpus, tmp_path, capsys):
     assert _tree_digests(workdir) == "".join(
         line for line in golden.splitlines(keepends=True)
         if line.split("  ", 1)[1].startswith("./app02_s2/"))
+
+
+def _stream_runs(corpus: Path, tmp: Path):
+    """Yield the argv of each run of ``cli_streams.json``, making the inputs
+    a run needs before yielding it."""
+    rot90 = ["--rotation-delta", "90"]
+    work = ["--workdir", str(tmp / "work")]
+    for apk in sorted(map(str, corpus.glob("*.apk"))):
+        yield ["locate", apk]
+        yield ["inject", apk, *rot90, "--dry-run"]
+        yield ["inject", apk, *rot90, *work]
+
+    tree = tmp / "app02_s2"
+    with zipfile.ZipFile(corpus / "app02_s2.apk") as zf:
+        zf.extractall(tree)
+    yield ["inject", str(tree), *rot90, "--dry-run"]
+    yield ["inject", str(tree), *rot90]
+    yield ["inject", str(tree), *rot90]
+
+    yield ["locate", str(tmp / "missing")]
+    yield ["inject", str(tmp / "missing"), *rot90]
+    yield ["inject", str(corpus / "app02_s2.apk")]
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    escape = tmp / "escape.apk"
+    escape.write_bytes(synth.zip_app({**files, "../escape.txt": "x"}))
+    yield ["inject", str(escape), *rot90, *work]
+    # The load never reads the asset, so only the extraction finds that
+    # its bytes do not match the CRC-32 its central record declares.
+    data = bytearray(synth.zip_app({**files, "assets/model.bin": b"\0" * 4096}))
+    data[data.rindex(b"assets/model.bin") - 46 + 16] ^= 0xFF
+    bad_crc = tmp / "bad_crc.apk"
+    bad_crc.write_bytes(bytes(data))
+    yield ["inject", str(bad_crc), *rot90, *work]
+    yield ["pipeline", str(tmp / "missing")]
+    (tmp / "empty").mkdir()
+    yield ["pipeline", str(tmp / "empty")]
+    yield ["simulate", "--images", "-1"]
+
+
+def _cli_streams(corpus: Path, tmp: Path) -> list:
+    def hide(text: str) -> str:
+        return text.replace(str(corpus), "<CORPUS>").replace(str(tmp), "<TMP>")
+
+    runs = []
+    for argv in _stream_runs(corpus, tmp):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        runs.append({"argv": [hide(arg) for arg in argv], "code": code,
+                     "stdout": hide(out.getvalue()), "stderr": hide(err.getvalue())})
+    return runs
+
+
+def test_cli_streams_match_golden(golden_corpus, tmp_path):
+    golden = json.loads((DATA / "cli_streams.json").read_text(encoding="utf-8"))
+    assert _cli_streams(golden_corpus, tmp_path) == golden
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus, tmp = Path(scratch) / "corpus", Path(scratch) / "tmp"
+        synth.build_corpus(corpus, seed=2024)
+        tmp.mkdir()
+        streams = _cli_streams(corpus, tmp)
+    (DATA / "cli_streams.json").write_text(
+        json.dumps(streams, indent=1, sort_keys=True) + "\n", encoding="utf-8")
