@@ -148,26 +148,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_app(path: Path) -> Optional[scan.AppFiles]:
-    """Read an app tree or archive into memory, reporting why it cannot be."""
+def _read_app(path: Path) -> scan.AppFiles:
+    """Read an app tree or archive into memory; refuse a missing or unsafe one."""
     if not (path.is_dir() or path.is_file()):
-        print(f"error: {path} does not exist", file=sys.stderr)
-        return None
-    try:
-        app = scan.load_app(path)
-        if app.unsafe_entry is not None:
-            raise scan.UnscannableApkError(path, f"unsafe entry {app.unsafe_entry!r}")
-    except scan.UnscannableApkError as exc:
-        print(f"error: cannot read {path}: {exc.reason}", file=sys.stderr)
-        return None
+        raise ValueError(f"{path} does not exist")
+    app = scan.load_app(path)
+    if app.unsafe_entry is not None:
+        raise scan.UnscannableApkError(path, f"unsafe entry {app.unsafe_entry!r}")
     return app
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     app = _read_app(Path(args.path))
-    if app is None:
-        return EXIT_USAGE
     analysis = locate.analyze_files(app.data, app.name, depth=config.slice_depth)
     print(f"{analysis.root}: {analysis.units} classes, "
           f"{len(analysis.anchors)} anchors, {len(analysis.matches)} matches")
@@ -193,35 +186,21 @@ def cmd_locate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _blocked(exc: inject.InjectError) -> int:
-    print(f"blocked: {exc}", file=sys.stderr)
-    return EXIT_BLOCKED
-
-
 def cmd_inject(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = _spec_from_args(args)
     if spec is None:
-        print("error: no perturbation requested "
-              "(use --rotation-delta, --width, ...)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("no perturbation requested "
+                         "(use --rotation-delta, --width, ...)")
     path = Path(args.tree)
     if path.is_dir() and not args.dry_run:
-        try:
-            inject.recover(path)
-        except inject.LockHeldError as exc:
-            return _blocked(exc)
+        inject.recover(path)
     app = _read_app(path)
-    if app is None:
-        return EXIT_USAGE
     data = app.data
     if path.is_dir() and args.dry_run:
         data = inject.recovered_data(path, data)
     index = locate.ClassIndex.from_files(data)
-    try:
-        plan = inject.plan_index(app.name, spec, index)
-    except inject.AlreadyInjectedError as exc:
-        return _blocked(exc)
+    plan = inject.plan_index(app.name, spec, index)
     if not plan.patches:
         print("no matching constructors; nothing to patch", file=sys.stderr)
         _write_report(args.report, plan.to_dict())
@@ -243,16 +222,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         base.mkdir(parents=True, exist_ok=True)
         try:
             tree = pipeline.materialize(app, base)
-        except inject.LockHeldError as exc:
-            return _blocked(exc)
         except scan.UnscannableApkError as exc:
-            print(f"error: cannot extract {path}: {exc.reason}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        result = inject.apply_plan(tree, plan)
-    except (inject.AlreadyInjectedError, inject.StalePlanError,
-            inject.LockHeldError) as exc:
-        return _blocked(exc)
+            raise ValueError(f"cannot extract {path}: {exc.reason}") from exc
+    result = inject.apply_plan(tree, plan)
 
     print(f"applied {result.applied} patches to "
           f"{len(result.files_changed)} files in {tree}")
@@ -289,15 +261,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     previews = [tuple(size) for size in args.preview] or [(640, 320)]
-    try:
-        result = sim.run_experiment(
-            spec, image_count=config.image_count, seed=config.seed,
-            preview_sizes=previews, do_normalize=args.normalize,
-            threshold=config.detection_threshold,
-            desired=(config.desired_width, config.desired_height))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = sim.run_experiment(
+        spec, image_count=config.image_count, seed=config.seed,
+        preview_sizes=previews, do_normalize=args.normalize,
+        threshold=config.detection_threshold,
+        desired=(config.desired_width, config.desired_height))
     for run in (result.baseline, result.perturbed):
         print(f"{run.label}: rotation={run.rotation} "
               f"rate={run.detection_rate:.2f} mean_score={run.mean_score:.4f} "
@@ -312,14 +280,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
-        print(f"error: corpus {corpus} is not a directory", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"corpus {corpus} is not a directory")
     workdir = Path(args.workdir) if args.workdir else \
         corpus.parent / (corpus.name + ".work")
     sources = pipeline.collect_sources(corpus)
     if not sources:
-        print(f"error: no apps found in {corpus}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no apps found in {corpus}")
 
     try:
         report = pipeline.run_pipeline(sources, workdir, spec=spec,
@@ -458,6 +424,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except (inject.InjectError, scan.UnscannableApkError, ValueError) as exc:
+        log.debug("%s refused", args.command, exc_info=True)
+        if isinstance(exc, inject.InjectError):
+            print(f"blocked: {exc}", file=sys.stderr)
+            return EXIT_BLOCKED
+        reason = f"cannot read {exc.path}: {exc.reason}" \
+            if isinstance(exc, scan.UnscannableApkError) else exc
+        print(f"error: {reason}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

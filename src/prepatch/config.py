@@ -31,6 +31,3 @@ class Config:
         """New config with the non-None overrides applied."""
         changes = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **changes) if changes else self
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
