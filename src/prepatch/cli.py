@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, inject, locate, pipeline, scan, sim
-from .config import Config
+from .config import Config, read_json
 from .perturbation import PerturbationSpec
 
 log = logging.getLogger("prepatch")
@@ -252,7 +252,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args) or PerturbationSpec()
     if args.latency_profile:
         profile = sim.latency_profile(
-            [tuple(size) for size in args.preview] or sim.LATENCY_SIZES)
+            [tuple(size) for size in args.preview] or sim.LATENCY_SIZES,
+            10 if args.image_count is None else args.image_count)
         for preview, ops in profile:
             print(f"{preview.width}x{preview.height}: {ops} pixel ops")
         _write_report(args.report, {
@@ -318,7 +319,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    payload = read_json(Path(args.file))
     if "outcomes" in payload:
         stats = payload.get("stats", {})
         print(f"apps={stats.get('total')} dl={stats.get('dl')} "
@@ -384,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="measure perturbation effects")
     _add_perturbation_args(p_sim)
-    p_sim.add_argument("--images", type=int, dest="image_count")
+    p_sim.add_argument("--images", type=int, dest="image_count",
+                       help="images per run (default: the config's image_count, 100)")
     p_sim.add_argument("--seed", type=int, dest="seed")
     p_sim.add_argument("--threshold", type=float, dest="detection_threshold")
     p_sim.add_argument("--normalize", action="store_true",
@@ -393,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[], metavar="WxH",
                        help="candidate preview size (repeatable)")
     p_sim.add_argument("--latency-profile", action="store_true",
-                       help="report pixel-op totals per preview size")
+                       help="report pixel-op totals per preview size of --images "
+                            "images (default 10; the config's image_count is not read)")
     p_sim.add_argument("--config", metavar="FILE")
     p_sim.add_argument("--report", metavar="FILE")
     p_sim.set_defaults(func=cmd_simulate)

@@ -5,7 +5,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
+
+# The JSON values each annotation takes (never a bool), named for a refusal.
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "Optional[str]": ((str, type(None)), "a string or null")}
+
+
+def read_json(path: Path) -> Any:
+    """The JSON value in ``path``; ValueError("<path>: <reason>") if none."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -20,11 +34,18 @@ class Config:
 
     @classmethod
     def from_file(cls, path: Path) -> "Config":
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        """Checks keys and types; the readers of each value check its range."""
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: the top level must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
-            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
+            raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        for key, value in raw.items():
+            accepted, name = _JSON_TYPES[types[key]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{path}: {key} must be {name}, got {json.dumps(value)}")
         return cls(**raw)
 
     def merged(self, **overrides) -> "Config":

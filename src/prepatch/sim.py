@@ -441,6 +441,8 @@ def latency_profile(preview_sizes: Sequence[Tuple[int, int]], image_count: int =
                     do_normalize: bool = True) -> List[Tuple[SizePair, int]]:
     """Pixel-op totals of ``image_count`` unrotated images pushed through
     each preview size; larger intermediate frames mean more sampled pixels."""
+    if image_count < 0:
+        raise ValueError(f"image count must not be negative, got {image_count}")
     sizes = [SizePair(width, height) for width, height in preview_sizes]
     return [(size, pixel_ops(image_count, size, 0, do_normalize).total)
             for size in sizes]

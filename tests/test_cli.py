@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import tempfile
 import zipfile
@@ -476,6 +477,18 @@ def test_simulate_latency_profile(capsys):
     assert costs == sorted(costs) and len(set(costs)) == 4
 
 
+def test_simulate_latency_profile_counts_the_images_given(capsys):
+    code, out, _ = run(["simulate", "--latency-profile", "--images", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "160x120: 63744 pixel ops"
+
+
+def test_simulate_latency_profile_refuses_a_negative_image_count(capsys):
+    code, out, err = run(["simulate", "--latency-profile", "--images", "-1"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: image count must not be negative, got -1\n"
+
+
 def test_simulate_report(tmp_path, capsys):
     report = tmp_path / "sim.json"
     code, _, _ = run(["simulate", "--rotation-override", "180",
@@ -699,3 +712,48 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command, text, reason", [
+    ("locate", None, "No such file or directory"),
+    ("locate", "{not json", "Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"),
+    ("locate", "[1]", "the top level must be a JSON object"),
+    ("locate", '{"slice_depht": 1}', "unknown config keys: slice_depht"),
+    ("locate", '{"slice_depth": "2"}', 'slice_depth must be an integer, got "2"'),
+    ("simulate", '{"image_count": 2.5}', "image_count must be an integer, got 2.5"),
+    ("report", None, "No such file or directory"),
+    ("report", "not json", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["config-missing", "config-not-json", "config-not-object",
+        "config-unknown-key", "config-str-depth", "config-float-count",
+        "report-missing", "report-not-json"])
+def test_input_files_are_refused_without_a_traceback(tree, tmp_path, capsys,
+                                                     command, text, reason):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = {"locate": ["locate", str(tree), "--config", str(path)],
+            "simulate": ["simulate", "--config", str(path)],
+            "report": ["report", str(path)]}[command]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("key, value, accepted", [
+    ("slice_depth", 2, True), ("slice_depth", True, False),
+    ("slice_depth", 2.0, False), ("slice_depth", "2", False),
+    ("image_count", None, False),
+    ("detection_threshold", 1, True), ("detection_threshold", 0.5, True),
+    ("detection_threshold", False, False), ("detection_threshold", "0.5", False),
+    ("repack_command", "zip -r {out} .", True), ("repack_command", None, True),
+    ("repack_command", 1, False), ("repack_command", ["zip"], False),
+])
+def test_config_value_types(tmp_path, key, value, accepted):
+    from prepatch.config import Config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    if accepted:
+        assert getattr(Config.from_file(path), key) == value
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {key} must be ")):
+            Config.from_file(path)
