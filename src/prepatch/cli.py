@@ -16,8 +16,10 @@ patches a tree in place. An archive is extracted to ``--workdir``, and
 a ``flock`` on ``<tree>.lock`` that the kernel drops when its holder
 exits: a lock file no live process holds never blocks.
 
-Exit codes for ``inject``: 0 applied, 2 nothing to patch, 3 a marker, a
-stale plan or a held lock stopped it, 4 the repack hook failed.
+Every command reports a refusal on stderr as ``error: …`` (exit 1) or, when
+a marker, a stale plan or a held lock stops ``inject``, ``blocked: …`` (exit
+3); ``main`` alone maps exceptions to these, so a traceback means a bug.
+``inject`` exits 2 when nothing matches and 4 when the repack hook fails;
 ``pipeline`` exits 2 when no app matched anywhere and 5 on internal errors.
 """
 
@@ -94,12 +96,8 @@ def _spec_from_args(args: argparse.Namespace) -> Optional[PerturbationSpec]:
 
 def _load_config(args: argparse.Namespace) -> Config:
     config = Config.from_file(Path(args.config)) if args.config else Config()
-    overrides = {}
-    for name in ("slice_depth", "image_count", "seed",
-                 "detection_threshold", "repack_command"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
-    return config.merged(**overrides)
+    return config.merged(**{name: getattr(args, name, None) for name in (
+        "slice_depth", "image_count", "seed", "detection_threshold")})
 
 
 def _parse_size(text: str) -> Tuple[int, int]:
