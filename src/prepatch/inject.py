@@ -324,7 +324,8 @@ def render_diff(index: locate.ClassIndex, plan: InjectionPlan) -> str:
     """Unified diff of the plan against the indexed lines, without writing."""
     chunks = []
     for rel, patches in _by_file(plan).items():
-        text = _Text.of(index.unit(rel).text)
+        lines = list(index.unit(rel).lines)
+        text = _Text(lines, ["\n"] * (len(lines) - 1) + [""])
         chunks.append("\n".join(difflib.unified_diff(
             text.lines, _patched(text, rel, patches).lines,
             fromfile=f"a/{rel}", tofile=f"b/{rel}", lineterm="")))

@@ -342,10 +342,12 @@ class ClassIndex:
                 issues.append((rel, parsed))
                 continue
             parses += 1
-            first = owners.setdefault(parsed.class_name, rel)
-            if first != rel:
-                issues.append((rel, f"duplicate class {parsed.class_name} "
-                                    f"(first defined in {first})"))
+            # Only a class that two files declare can have a duplicate.
+            if len(self._declaring.get(parsed.class_name, ())) > 1:
+                first = owners.setdefault(parsed.class_name, rel)
+                if first != rel:
+                    issues.append((rel, f"duplicate class {parsed.class_name} "
+                                        f"(first defined in {first})"))
         return parses, issues
 
     @property
@@ -414,9 +416,8 @@ def _mentions_inference_owner(text: str) -> bool:
 def _methods_with_anchors(unit: SmaliUnit) -> List[SmaliMethod]:
     """The unit's methods whose lines name an inference API owner; no other
     method has an anchor, so their instructions need not be built."""
-    lines = unit.text.split("\n")
     return [m for m in unit.methods if _mentions_inference_owner(
-        "\n".join(lines[m.header_line_index:m.end_line_index]))]
+        "\n".join(unit.lines[m.header_line_index:m.end_line_index]))]
 
 
 def find_anchors(index: ClassIndex) -> List[SliceAnchor]:

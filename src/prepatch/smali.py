@@ -6,9 +6,9 @@ moves, move-results, returns, new-instance and check-cast.  Every other line
 (directives, labels, switch payloads, annotations, comments) is kept as an
 opaque raw line, so ``emit_unit(parse_unit(text)) == text`` byte-for-byte.
 
-Lines are the unit of fidelity: a unit stores the text of the source file
-once, and every structured instruction keeps its own line and that line's
-index in the file, which is what makes minimal-diff patching possible.
+Lines are the unit of fidelity: a unit keeps its text and the lines its
+parse split, and every structured instruction keeps its own line and index
+in the file, which is what makes minimal-diff patching possible.
 Supported opcodes with malformed operands are rejected with a syntax error
 rather than guessed at; unknown opcodes pass through untouched.
 
@@ -17,10 +17,12 @@ family it holds a pattern whose groups capture every operand, and a builder
 from a match to operands.  ``parse_unit`` matches every line eagerly but
 reads only the registers, for the frame check; a method's ``Instruction``
 objects are built from the same patterns when its ``instructions`` are first
-read, since most methods of an app are never read by analysis; a method
-shares its unit's text and keeps only its own lines once built.  A line the
-table rejects, or a method whose registers may exceed the frame, goes to
-``_parse_instruction`` and ``_validate_registers``, which give every error.
+read, since most methods of an app are never read by analysis.  A method
+shares its unit's lines, so no reader splits the text again; keeping them
+is cheap, as a stage parses only the classes it reads, one or two per app.
+A line the table rejects, or a method whose registers may exceed the frame,
+goes to ``_parse_instruction`` and ``_validate_registers``, which give
+every error.
 """
 
 from __future__ import annotations
@@ -216,23 +218,6 @@ class Instruction:
         return ()
 
 
-# Access-flag sets shared by the records of every unit. Class flags are not
-# validated, so only sets of known flags are shared, and past _MAX_FLAG_SETS
-# of them a new set is returned unshared.
-_FLAG_SETS: dict[frozenset[str], frozenset[str]] = {}
-_MAX_FLAG_SETS = 256
-
-
-def _flag_set(tokens: Sequence[str]) -> frozenset[str]:
-    flags = frozenset(tokens)
-    shared = _FLAG_SETS.get(flags)
-    if shared is not None:
-        return shared
-    if len(_FLAG_SETS) < _MAX_FLAG_SETS and flags <= KNOWN_ACCESS_FLAGS:
-        _FLAG_SETS[flags] = flags
-    return flags
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class SmaliMethod:
     name: str
@@ -243,16 +228,16 @@ class SmaliMethod:
     locals_count: Optional[int]   # .locals value, or None
     header_line_index: int
     end_line_index: int
-    text: str = field(repr=False)   # the text of the whole unit
+    lines: tuple[str, ...] = field(repr=False)   # the lines of the whole unit
     _instructions: Optional[tuple[Instruction, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
     def instructions(self) -> tuple[Instruction, ...]:
-        """The body's instructions, built from the unit's text on first read.
-        Each keeps its own line as ``raw_text``; no other line is kept."""
+        """The body's instructions, built from the unit's lines on first read;
+        each keeps its own line as ``raw_text``."""
         if self._instructions is None:
-            lines = self.text.split("\n", self.end_line_index)
+            lines = self.lines
             out = []
             regs = _Registers()
             for i in range(self.header_line_index + 1, self.end_line_index):
@@ -296,11 +281,8 @@ class SmaliUnit:
     class_flags: frozenset[str]
     methods: tuple[SmaliMethod, ...]
     text: str = field(repr=False)
-
-    @property
-    def lines(self) -> tuple[str, ...]:
-        """The unit's lines, split from its text on every read."""
-        return tuple(self.text.split("\n"))
+    # The lines parse_unit split from ``text``, shared by every method.
+    lines: tuple[str, ...] = field(repr=False, compare=False)
 
 
 def check_type_descriptor(desc: str, *, void_ok: bool = False) -> bool:
@@ -519,7 +501,7 @@ def _parse_method_header(raw: str, line_index: int) -> tuple[frozenset[str], str
     param_types = split_param_descriptors(params, lineno)
     if not check_type_descriptor(ret, void_ok=True):
         raise SmaliSyntaxError(f"bad return type descriptor '{ret}'", lineno)
-    return _flag_set(flags), name, param_types, ret
+    return frozenset(flags), name, param_types, ret
 
 
 def _frame_size(method: SmaliMethod) -> Optional[int]:
@@ -683,7 +665,7 @@ def _may_exceed_frame(method: SmaliMethod, used: set[str]) -> bool:
     return any(int(r[1:]) >= (total if r[0] == "v" else slots) for r in used)
 
 
-def _parse_method(lines: list[str], start: int, text: str) -> tuple[SmaliMethod, int]:
+def _parse_method(lines: tuple[str, ...], start: int) -> tuple[SmaliMethod, int]:
     """Validate one method; its instructions are built on first read."""
     flags, name, params, ret = _parse_method_header(lines[start].strip(), start)
     registers = locals_count = None
@@ -698,7 +680,7 @@ def _parse_method(lines: list[str], start: int, text: str) -> tuple[SmaliMethod,
                 method = SmaliMethod(
                     name=name, param_types=params, return_type=ret, access_flags=flags,
                     registers=registers, locals_count=locals_count,
-                    header_line_index=start, end_line_index=i, text=text)
+                    header_line_index=start, end_line_index=i, lines=lines)
                 if _may_exceed_frame(method, used):
                     _validate_registers(method)
                 return method, i + 1
@@ -725,7 +707,7 @@ def _parse_method(lines: list[str], start: int, text: str) -> tuple[SmaliMethod,
 def parse_unit(text: str) -> SmaliUnit:
     """Parse one smali class file.  The input must contain exactly one
     ``.class`` declaration; the returned unit re-emits the text unchanged."""
-    lines = text.split("\n")
+    lines = tuple(text.split("\n"))
     class_name: Optional[str] = None
     class_flags: frozenset[str] = frozenset()
     super_name: Optional[str] = None
@@ -744,7 +726,7 @@ def parse_unit(text: str) -> SmaliUnit:
             if len(toks) < 2 or not check_type_descriptor(toks[-1]) or not toks[-1].startswith("L"):
                 raise SmaliSyntaxError("malformed .class declaration", i + 1)
             class_name = toks[-1]
-            class_flags = _flag_set(toks[1:-1])
+            class_flags = frozenset(toks[1:-1])
             i += 1
         elif s.startswith(".super"):
             toks = s.split()
@@ -758,7 +740,7 @@ def parse_unit(text: str) -> SmaliUnit:
         elif s.startswith(".method"):
             if class_name is None:
                 raise SmaliSyntaxError(".method before .class declaration", i + 1)
-            method, i = _parse_method(lines, i, text)
+            method, i = _parse_method(lines, i)
             methods.append(method)
         elif s == ".end method":
             raise SmaliSyntaxError(".end method without matching .method", i + 1)
@@ -770,7 +752,7 @@ def parse_unit(text: str) -> SmaliUnit:
         raise SmaliSyntaxError("missing .class declaration", 1)
     return SmaliUnit(
         class_name=class_name, super_name=super_name, class_flags=class_flags,
-        methods=tuple(methods), text=text)
+        methods=tuple(methods), text=text, lines=lines)
 
 
 _FIELD_DECL_RE = re.compile(r"^\.field\s+((?:[\w-]+\s+)*)([^:\s]+):(\S+)(?:\s*=\s*(.+))?$")

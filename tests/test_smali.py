@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import random
 import subprocess
@@ -595,14 +594,20 @@ def test_first_out_of_range_register_is_reported(first, later, reported):
     assert line.strip() == first if reported != "p7" else line.strip() == later
 
 
-def test_unit_keeps_its_text_once_and_shares_flag_sets():
+def test_unit_keeps_its_lines_once():
     unit = smali.parse_unit(WRAPPER)
-    other = smali.parse_unit(WRAPPER.replace("Holder", "Other"))
-    assert unit.text is WRAPPER and unit.methods[0].text is WRAPPER
+    assert unit.text is WRAPPER and unit.lines == tuple(WRAPPER.split("\n"))
+    assert unit.lines is unit.lines
+    assert all(method.lines is unit.lines for method in unit.methods)
     assert not hasattr(unit, "__dict__") and not hasattr(unit.methods[0], "__dict__")
-    assert unit.lines == tuple(WRAPPER.split("\n")) and unit.lines is not unit.lines
-    assert unit.class_flags is other.class_flags
-    assert unit.methods[0].access_flags is other.methods[0].access_flags
+
+
+def test_method_flags_are_checked_and_class_flags_are_not():
+    unit = smali.parse_unit(WRAPPER.replace(".class public final", ".class public odd"))
+    assert unit.class_flags == {"public", "odd"}
+    assert unit.methods[0].access_flags == {"private", "constructor"}
+    with pytest.raises(SmaliSyntaxError, match="unknown method access flag 'odd'"):
+        smali.parse_unit(WRAPPER.replace(".method private", ".method private odd"))
 
 
 def test_records_compare_as_before_whether_built_or_not():
@@ -611,29 +616,6 @@ def test_records_compare_as_before_whether_built_or_not():
     assert not fresh.methods[0].instructions_built
     assert built == fresh and hash(built) == hash(fresh)
     assert built != smali.parse_unit(WRAPPER.replace("0xb4", "0x5a"))
-
-
-def test_flag_set_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(smali, "_FLAG_SETS", {})
-    # Unknown class flags written first take no room in the table.
-    for i in range(smali._MAX_FLAG_SETS + 10):
-        smali.parse_unit(f".class public f{i} LC{i};\n.super Ljava/lang/Object;\n")
-    assert smali._FLAG_SETS == {}
-    unit, other = smali.parse_unit(WRAPPER), smali.parse_unit(WRAPPER)
-    assert unit.class_flags is other.class_flags
-    assert unit.methods[0].access_flags is other.methods[0].access_flags
-    # A set is shared whatever order its flags are written in.
-    first = smali.parse_unit(".class public final LA;\n")
-    assert smali.parse_unit(".class final public LB;\n").class_flags is first.class_flags
-    # Known flags fill the table up to its bound, and no further.
-    known = sorted(smali.KNOWN_ACCESS_FLAGS)
-    combos = list(itertools.islice(itertools.combinations(known, 3), smali._MAX_FLAG_SETS))
-    units = [smali.parse_unit(f".class {' '.join(c)} LC;\n") for c in combos]
-    assert len(smali._FLAG_SETS) == smali._MAX_FLAG_SETS
-    assert units[-1].class_flags == set(combos[-1])
-    assert units[-1].class_flags not in smali._FLAG_SETS
-    again = smali.parse_unit(".class public final LD;\n")
-    assert again.class_flags is first.class_flags
 
 
 def test_instructions_are_built_on_first_read(monkeypatch):
