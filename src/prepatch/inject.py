@@ -180,7 +180,7 @@ def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
                     continue
                 plan.patches.append(_patch_const_line(
                     lines, rel, site.const_line, site.register, new_value,
-                    site.radix or "hex",
+                    site.radix,
                     f"rotation {site.value} -> {new_value} ({site.field_name})"))
             elif spec.rotation_override is not None:
                 # Parameter-fed store: pin the register right before the iput.
@@ -217,13 +217,9 @@ def _plan_match(index: locate.ClassIndex, match: ConstructorMatch,
     if spec.format_override is not None and match.format_site is not None:
         site = match.format_site
         if site.const_line is not None:
-            method = next(m for m in unit.methods
-                          if m.signature == match.method_signature)
-            const = next(i for i in method.instructions
-                         if i.line_index == site.const_line)
             plan.patches.append(_patch_const_line(
-                lines, rel, site.const_line, const.dest, spec.format_override,
-                const.literal.radix,
+                lines, rel, site.const_line, site.register, spec.format_override,
+                site.radix,
                 f"format {site.value} -> {spec.format_override} "
                 f"({site.field_name})"))
 

@@ -139,7 +139,9 @@ class SliceResult:
 
 @dataclass(frozen=True)
 class RotationSite:
-    """An own-field store holding the rotation value of a wrapper."""
+    """An own-field store holding the rotation value of a wrapper.
+    ``register`` is the one the ``const`` defines, or the ``iput``'s own
+    for a parameter-fed store."""
     field_name: str
     iput_line: int
     const_line: Optional[int]        # None when the value arrives via a parameter
@@ -163,6 +165,7 @@ class DimensionSite:
 
     kind 'getter' sites read the value off a bitmap getter pair and can be
     replaced by a constant; 'param' and 'const' sites are informational.
+    ``register`` is the one the ``move-result`` defines.
     """
     role: str                         # 'width' | 'height'
     kind: str                         # 'getter' | 'param' | 'const'
@@ -186,10 +189,14 @@ class DimensionSite:
 
 @dataclass(frozen=True)
 class FormatSite:
+    """A format-tag store; ``register`` and ``radix`` are those of the
+    ``const`` that feeds it, None without one."""
     field_name: str
     iput_line: int
     const_line: Optional[int]
+    register: Optional[Register]
     value: int
+    radix: Optional[str]
 
     def to_dict(self) -> dict:
         return {
@@ -729,7 +736,7 @@ def _rotation_sites(infos: Sequence[_IputInfo],
             field_name=info.instr.field_ref.field_name,
             iput_line=info.instr.line_index,
             const_line=info.const_instr.line_index,
-            register=info.source,
+            register=info.const_instr.dest,
             value=info.value,
             radix=info.const_instr.literal.radix,
         ))
@@ -770,7 +777,7 @@ def _dimension_sites(infos: Sequence[_IputInfo]) -> List[DimensionSite]:
                     iput_line=info.instr.line_index,
                     invoke_line=invoke.line_index,
                     move_result_line=move_result.line_index,
-                    register=info.source, value=None))
+                    register=move_result.dest, value=None))
     return sites
 
 
@@ -785,12 +792,14 @@ def match_constructor(unit: SmaliUnit, unit_path: str, method: SmaliMethod,
               constants: Tuple[int, ...],
               dims: Sequence[DimensionSite]) -> ConstructorMatch:
         rot = _rotation_sites(infos, format_info)
+        const = format_info.const_instr
         site = FormatSite(
             field_name=format_info.instr.field_ref.field_name,
             iput_line=format_info.instr.line_index,
-            const_line=(format_info.const_instr.line_index
-                        if format_info.const_instr else None),
+            const_line=const.line_index if const else None,
+            register=const.dest if const else None,
             value=format_info.value,
+            radix=const.literal.radix if const else None,
         )
         return ConstructorMatch(
             unit_path=unit_path, class_name=unit.class_name,

@@ -96,6 +96,44 @@ def test_plan_large_value_widens_opcode(app_tree):
     assert patch.replacement_lines == ("    const v1, 0x32315659",)
 
 
+def _plan_edited_wrapper(files, edits, spec):
+    """The plan for ``files`` with the wrapper's ``.locals 1`` widened to 2
+    and each ``(old, new)`` of ``edits`` replaced in it."""
+    rel = wrapper_rel(files)
+    text = files[rel].replace("    .locals 1", "    .locals 2", 1)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return inject.plan_index("app", spec, locate.ClassIndex.from_files({**files, rel: text}))
+
+
+def test_rotation_through_a_move_patches_the_const_register(app_files):
+    files, _ = app_files("s1", 0)
+    plan = _plan_edited_wrapper(
+        files, [("    const/16 p4, 0xb4", "    const/16 v1, 0xb4\n\n    move p4, v1")],
+        PerturbationSpec(rotation_delta=90))
+    (patch,) = plan.patches
+    assert patch.original_lines == ("    const/16 v1, 0xb4",)
+    assert patch.replacement_lines == ("    const/16 v1, 0x10e",)
+    (site,) = plan.matches[0].rotation_sites
+    assert site.to_dict()["register"] == "v1"
+
+
+def test_width_through_a_move_defines_the_getter_register(app_files):
+    files, _ = app_files("s2", 2)
+    plan = _plan_edited_wrapper(
+        files, [("getWidth()I\n\n    move-result v0\n",
+                 "getWidth()I\n\n    move-result v1\n\n    move v0, v1\n")],
+        PerturbationSpec(width_override=64))
+    (patch,) = plan.patches
+    assert patch.original_lines == (
+        "    invoke-virtual {p1}, Landroid/graphics/Bitmap;->getWidth()I",
+        "",
+        "    move-result v1",
+    )
+    assert patch.replacement_lines == ("    const/16 v1, 0x40",)
+
+
 def test_plan_noop_spec_rejected(app_tree):
     tree, _, _ = app_tree("s2", 2)
     with pytest.raises(ValueError, match="no-op"):
