@@ -79,18 +79,14 @@ def _add_perturbation_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> Optional[PerturbationSpec]:
-    try:
-        spec = PerturbationSpec(
-            rotation_override=args.rotation_override,
-            rotation_delta=args.rotation_delta,
-            width_override=args.width_override,
-            height_override=args.height_override,
-            format_override=args.format_override,
-            normalize_rotation=not args.raw_rotation,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+    spec = PerturbationSpec(
+        rotation_override=args.rotation_override,
+        rotation_delta=args.rotation_delta,
+        width_override=args.width_override,
+        height_override=args.height_override,
+        format_override=args.format_override,
+        normalize_rotation=not args.raw_rotation,
+    )
     return None if spec.is_noop else spec
 
 
@@ -278,8 +274,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = _spec_from_args(args)
     corpus = Path(args.corpus)
-    if not corpus.is_dir():
-        raise ValueError(f"corpus {corpus} is not a directory")
     workdir = Path(args.workdir) if args.workdir else \
         corpus.parent / (corpus.name + ".work")
     sources = pipeline.collect_sources(corpus)

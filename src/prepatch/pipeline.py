@@ -316,6 +316,8 @@ def run_pipeline(sources: Sequence[Path], workdir: Path,
 
 def collect_sources(corpus: Path) -> List[Path]:
     """Apps inside a corpus directory: archives plus extracted trees."""
+    if not corpus.is_dir():
+        raise ValueError(f"corpus {corpus} is not a directory")
     sources = []
     for child in sorted(corpus.iterdir()):
         if child.is_file() and child.suffix.lower() in (".apk", ".zip"):

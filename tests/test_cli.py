@@ -54,6 +54,17 @@ def test_scan_report_to_stdout(tmp_path, capsys):
     assert payload["verdicts"][0]["is_dl"] is False
 
 
+@pytest.mark.parametrize("apk", [False, True], ids=["missing", "apk"])
+def test_scan_corpus_refuses_a_path_that_is_not_a_directory(tmp_path, capsys, apk):
+    path = tmp_path / "corpus.apk"
+    if apk:
+        files, _ = synth.build_app_files("s2", 2, random.Random(1))
+        path.write_bytes(synth.zip_app(files))
+    code, out, err = run(["scan", str(path), "--corpus"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: corpus {path} is not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # locate
 
@@ -271,11 +282,13 @@ def test_inject_without_perturbation_flags(tree, capsys):
     assert "no perturbation requested" in err
 
 
-def test_inject_conflicting_rotation_flags(tree, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["inject", str(tree), "--rotation-delta", "90",
-                  "--rotation-override", "45"])
-    assert exc.value.code == cli.EXIT_USAGE
+@pytest.mark.parametrize("command", ["inject", "simulate", "pipeline"])
+def test_inject_conflicting_rotation_flags(tree, capsys, command):
+    target = [] if command == "simulate" else [str(tree)]
+    code, _, err = run([command, *target, "--rotation-delta", "90",
+                        "--rotation-override", "45"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: rotation_override and rotation_delta are exclusive\n"
 
 
 def test_inject_repack_failure_exit_code(tree, capsys):
