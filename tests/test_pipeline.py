@@ -843,3 +843,70 @@ def test_held_lock_keeps_the_tree_and_fails_only_its_app(tmp_path, lock_holders)
     assert [p.name for p in sentinel.parent.iterdir()] == ["sentinel"]
     assert sentinel.read_text() == "kept"
     assert lock.read_bytes() == held
+
+
+@pytest.fixture(scope="module")
+def clean_run(corpus, tmp_path_factory):
+    """The seed-2024 corpus's sources and their outcomes under a 90 degree
+    rotation delta, as dicts by source."""
+    root, _ = corpus
+    sources = pipeline.collect_sources(root)
+    report = pipeline.run_pipeline(sources, tmp_path_factory.mktemp("clean"),
+                                   spec=PerturbationSpec(rotation_delta=90))
+    return sources, {o.source: o.to_dict() for o in report.outcomes}
+
+
+def _hostile_app(kind, at, workdir, request):
+    """Write the hostile app ``kind`` at ``at`` (``.apk`` added for an
+    archive) and return its path. Every kind but the two archive fixtures
+    is the S2 app, which would inject, with one hostile edit."""
+    apk = at.with_suffix(".apk")
+    if kind == "bomb":
+        return request.getfixturevalue("bomb_archive")(
+            apk, "smali/B.smali", zipfile.ZIP_DEFLATED)
+    if kind == "overlap":
+        return request.getfixturevalue("overlap_archive")(
+            apk, "smali/A.smali", "smali/B.smali")
+    files, _ = synth.build_app_files("s2", 2, random.Random(5))
+    wrapper = next(rel for rel in files if "ImageHolder" in rel)
+    if kind == "crlf-wrapper":
+        synth.write_tree({**files, wrapper: files[wrapper].replace("\n", "\r\n").encode()}, at)
+        return at
+    if kind == "held-lock":
+        synth.write_tree(files, at)
+        workdir.mkdir()
+        request.getfixturevalue("lock_holders").hold(workdir / at.name)
+        return at
+    files.update({
+        "undecodable": {"smali/com/odd/Odd.smali": b"\xff.class Lcom/odd/Odd;\n"},
+        "duplicate-class": {"smali_classes2" + wrapper[len("smali"):]: files[wrapper]},
+        "huge-range": {"smali/com/odd/Odd.smali": "\n".join([
+            ".class public Lcom/odd/Odd;", ".super Ljava/lang/Object;",
+            ".method public constructor <init>()V",
+            "    invoke-static/range {v0 .. v100000000}, La;->m()V",
+            "    return-void", ".end method", ""])},
+    }[kind])
+    apk.write_bytes(synth.zip_app(files))
+    return apk
+
+
+@pytest.mark.parametrize("kind, fate", [
+    ("bomb", "runs past its declared 10 bytes"),
+    ("overlap", "data runs into the next member"),
+    ("undecodable", "injected"),
+    ("crlf-wrapper", "injected"),
+    ("duplicate-class", "injected"),
+    ("huge-range", "injected"),
+    ("held-lock", "is held by pid"),
+])
+def test_one_hostile_app_fails_only_itself(clean_run, tmp_path, request, kind, fate):
+    sources, clean = clean_run
+    workdir = tmp_path / "work"
+    # Named to be processed first, before every corpus app.
+    hostile = _hostile_app(kind, tmp_path / "a_hostile", workdir, request)
+    report = pipeline.run_pipeline([hostile, *sources], workdir,
+                                   spec=PerturbationSpec(rotation_delta=90))
+    own = report.outcomes[0]
+    assert own.source == hostile.name
+    assert fate in ("injected" if own.injected else f"{own.verdict.error} / {own.error}")
+    assert {o.source: o.to_dict() for o in report.outcomes[1:]} == clean
