@@ -349,7 +349,8 @@ class ClassIndex:
                 issues.append((rel, parsed))
                 continue
             parses += 1
-            # Only a class that two files declare can have a duplicate.
+            # A class that one file declares has no duplicate, and keeping
+            # no owner for it keeps no class name per class.
             if len(self._declaring.get(parsed.class_name, ())) > 1:
                 first = owners.setdefault(parsed.class_name, rel)
                 if first != rel:
